@@ -6,9 +6,10 @@
 //!
 //! * **WAL overhead per op**: the same deterministic mutation script
 //!   (inserts, corrections, deletions, evidence, retractions, worker
-//!   re-weights, HIT flushes) is applied to a plain in-memory
-//!   [`IncrementalResolver`] and to a [`DurableResolver`] logging to a
-//!   real filesystem directory at the **default group-commit cadence**
+//!   re-weights, HIT flushes) is applied through
+//!   [`DurableResolver::apply`] to an in-memory engine
+//!   ([`DurableResolver::in_memory`]) and to one logging to a real
+//!   filesystem directory at the **default group-commit cadence**
 //!   ([`DurabilityConfig::default`]: fsync every 256 ops, snapshot
 //!   every 4096). The validator *enforces* `wal_overhead ≤ 3×` — the
 //!   PR's acceptance bound: durability must not triple the cost of the
@@ -28,6 +29,7 @@
 use crate::perf::{parse_json, Json, JsonReport, JsonRow};
 use crowder::prelude::*;
 use crowder_obs::stats::format_ns as fmt_ns;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Default output path for the durability report.
@@ -184,41 +186,6 @@ pub fn make_script(dataset: &Dataset, limit: usize, config: &StreamConfig) -> Ve
     script
 }
 
-/// Apply one logged op to a plain in-memory resolver (the baseline
-/// mirror of `DurableResolver::apply`, minus logging).
-fn apply_plain(resolver: &mut IncrementalResolver, op: &WalOp) {
-    match op {
-        WalOp::Insert { source, fields } => {
-            resolver
-                .insert(SourceId(*source), fields.clone())
-                .expect("script op is legal");
-        }
-        WalOp::Remove(record) => {
-            resolver.remove(*record).expect("script op is legal");
-        }
-        WalOp::Update { record, fields } => {
-            resolver
-                .update(*record, fields.clone())
-                .expect("script op is legal");
-        }
-        WalOp::Retract(pair) => {
-            resolver.retract(*pair);
-        }
-        WalOp::Evidence {
-            pair,
-            verdict,
-            weight,
-        } => {
-            resolver.record_evidence(*pair, *verdict, *weight);
-        }
-        WalOp::EpochRerank => resolver.rerank_now(),
-        WalOp::Flush => {
-            resolver.regenerate_hits().expect("k is valid");
-        }
-        WalOp::Weights(_) => {} // engine-level serving state; no resolver effect
-    }
-}
-
 fn percent_prefixes(len: usize) -> [usize; 2] {
     [len / 2, len]
 }
@@ -232,16 +199,24 @@ pub fn run_durable_suite(corpus: &str, dataset: &Dataset, limit: usize) -> Durab
     let script = make_script(dataset, limit, &stream);
     let durable = DurabilityConfig::default();
 
-    // In-memory baseline.
-    let mut plain = IncrementalResolver::like(dataset, stream.clone());
+    // In-memory baseline: the same engine and dispatcher, no log.
+    let mut plain =
+        DurableResolver::<MemDir>::in_memory(IncrementalResolver::like(dataset, stream.clone()));
     let t0 = Instant::now();
     for op in &script {
-        apply_plain(&mut plain, op);
+        plain.apply(op.clone()).expect("script op is legal");
     }
     let mem_total_ns = t0.elapsed().as_nanos();
 
     // WAL-on run against a real filesystem directory, default cadence.
-    let root = std::env::temp_dir().join(format!("crowder-bench-durable-{}", std::process::id()));
+    // Each call gets its own directory: concurrent suites in one
+    // process must not share one.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let root = std::env::temp_dir().join(format!(
+        "crowder-bench-durable-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&root);
     let dir = FsDir::new(&root).expect("temp dir is writable");
     let mut engine = DurableResolver::create_with(

@@ -35,11 +35,8 @@ use crowder_crowd::{
 use crowder_durable::{DurabilityConfig, DurableResolver, FsDir};
 use crowder_hitgen::{Hit, TwoTieredConfig};
 use crowder_simjoin::JoinStats;
-use crowder_stream::{
-    vote_weight, EvidenceConfig, EvidenceReport, HitDelta, IncrementalResolver, IndexLayout,
-    InsertReport, RemoveReport, StreamConfig,
-};
-use crowder_types::{Dataset, Error, Pair, RecordId, Result, ScoredPair, SourceId};
+use crowder_stream::{vote_weight, EvidenceConfig, IncrementalResolver, IndexLayout, StreamConfig};
+use crowder_types::{Dataset, Error, Pair, RecordId, Result, ScoredPair};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -97,80 +94,6 @@ impl DurabilityOptions {
         DurabilityOptions {
             dir: dir.into(),
             config: DurabilityConfig::default(),
-        }
-    }
-}
-
-/// The workflow's mutation funnel: either a bare resolver or a
-/// durable one that logs every call. Reads go through
-/// [`view`](Engine::view) — mutating the resolver around the log
-/// would break the recovery contract.
-enum Engine {
-    Plain(Box<IncrementalResolver>),
-    Durable(Box<DurableResolver<FsDir>>),
-}
-
-impl Engine {
-    fn view(&self) -> &IncrementalResolver {
-        match self {
-            Engine::Plain(r) => r,
-            Engine::Durable(d) => d.resolver(),
-        }
-    }
-
-    fn insert(&mut self, source: SourceId, fields: Vec<String>) -> Result<InsertReport> {
-        match self {
-            Engine::Plain(r) => r.insert(source, fields),
-            Engine::Durable(d) => d.insert(source, fields),
-        }
-    }
-
-    fn remove(&mut self, record: RecordId) -> Result<RemoveReport> {
-        match self {
-            Engine::Plain(r) => r.remove(record),
-            Engine::Durable(d) => d.remove(record),
-        }
-    }
-
-    fn retract(&mut self, pair: Pair) -> Result<EvidenceReport> {
-        match self {
-            Engine::Plain(r) => Ok(r.retract(pair)),
-            Engine::Durable(d) => d.retract(pair),
-        }
-    }
-
-    fn record_evidence(
-        &mut self,
-        pair: Pair,
-        verdict: bool,
-        weight: f64,
-    ) -> Result<EvidenceReport> {
-        match self {
-            Engine::Plain(r) => Ok(r.record_evidence(pair, verdict, weight)),
-            Engine::Durable(d) => d.record_evidence(pair, verdict, weight),
-        }
-    }
-
-    fn regenerate_hits(&mut self) -> Result<HitDelta> {
-        match self {
-            Engine::Plain(r) => r.regenerate_hits(),
-            Engine::Durable(d) => d.regenerate_hits(),
-        }
-    }
-
-    fn set_worker_weights(&mut self, weights: Vec<(u64, f64)>) -> Result<()> {
-        match self {
-            Engine::Plain(_) => Ok(()),
-            Engine::Durable(d) => d.set_worker_weights(weights),
-        }
-    }
-
-    /// Finish the run: a durable engine syncs and checkpoints so the
-    /// directory recovers instantly; both variants yield the resolver.
-    fn finish(self) -> Result<IncrementalResolver> {
-        match self {
-            Engine::Plain(r) => Ok(*r),
-            Engine::Durable(d) => d.close(),
         }
     }
 }
@@ -351,6 +274,11 @@ fn worker_weights(votes: &[Vote], aggregation: Aggregation) -> Result<HashMap<us
 /// crowd session over the newly regenerated HITs, evidence recording,
 /// and any injected faults.
 ///
+/// Every mutation goes through one [`DurableResolver`]: logged to
+/// [`StreamingConfig::durability`]'s directory when it is set, and
+/// [in memory](DurableResolver::in_memory) otherwise. Both modes run
+/// the same mutation methods; the log only records them.
+///
 /// Fault-free, the final corpus equals `dataset`, so the resolver's
 /// pair set is bit-identical to what the batch workflow's machine pass
 /// would produce — the exactness contract of `crowder-stream`. With
@@ -387,12 +315,8 @@ pub fn run_streaming(
     // system; the crowd simulator needs them up front.
     *resolver.gold_mut() = dataset.gold.clone();
     let mut engine = match &config.durability {
-        None => Engine::Plain(Box::new(resolver)),
-        Some(opts) => Engine::Durable(Box::new(DurableResolver::create_with(
-            FsDir::new(&opts.dir)?,
-            resolver,
-            opts.config,
-        )?)),
+        None => DurableResolver::in_memory(resolver),
+        Some(opts) => DurableResolver::create_with(FsDir::new(&opts.dir)?, resolver, opts.config)?,
     };
 
     let mut rounds = Vec::new();
@@ -416,7 +340,7 @@ pub fn run_streaming(
         let carried_cost = carried.len() as f64 * per_assignment_cost;
 
         // Stage 1: ingest the arrivals (delta join + clustering).
-        let epochs_before = engine.view().epochs();
+        let epochs_before = engine.resolver().epochs();
         let mut join_stats = JoinStats::default();
         let mut new_pairs = 0usize;
         let mut cluster_merges = 0usize;
@@ -454,7 +378,7 @@ pub fn run_streaming(
                 }
             }
         }
-        let dirty_clusters = engine.view().dirty_clusters();
+        let dirty_clusters = engine.resolver().dirty_clusters();
 
         // Stage 3: regenerate HITs only where the clustering moved.
         let delta = {
@@ -466,7 +390,7 @@ pub fn run_streaming(
             .iter()
             .map(|&id| {
                 engine
-                    .view()
+                    .resolver()
                     .live_hits()
                     .get(id)
                     .expect("created ids are live")
@@ -528,7 +452,7 @@ pub fn run_streaming(
             retracted,
             new_pairs,
             join_stats,
-            index_rebuilds: engine.view().epochs() - epochs_before,
+            index_rebuilds: engine.resolver().epochs() - epochs_before,
             dirty_clusters,
             hits_retired: delta.retired.len(),
             hits_created: delta.created.len(),
@@ -541,8 +465,8 @@ pub fn run_streaming(
             cluster_splits,
             cost_dollars: sim.cost_dollars + carried_cost,
             elapsed_minutes: sim.elapsed_minutes,
-            corpus: engine.view().len(),
-            cumulative_pairs: engine.view().pairs().len(),
+            corpus: engine.resolver().len(),
+            cumulative_pairs: engine.resolver().pairs().len(),
         });
         // Evidence may have dirtied clusters (merges from commits,
         // splits from decommits/vetoes); the next round's flush — or
@@ -569,7 +493,7 @@ pub fn run_streaming(
         }
     }
     let final_delta = engine.regenerate_hits()?;
-    let resolver = engine.finish()?;
+    let resolver = engine.close()?;
 
     // Stage 6: aggregate every round's verdicts into one ranked list.
     let ranked = if votes.is_empty() {

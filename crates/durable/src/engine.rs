@@ -1,12 +1,13 @@
 //! The durable resolver: an [`IncrementalResolver`] whose every
-//! mutation is written ahead to a log, checkpointed into snapshots,
-//! and recoverable after a crash at any byte.
+//! mutation can be written ahead to a log, checkpointed into snapshots,
+//! and recovered after a crash at any byte.
 //!
 //! The engine follows **apply-then-log**: a mutation is applied to
 //! the in-memory resolver first and logged only if it succeeded, so
-//! the WAL replays cleanly by construction. Group commit batches
-//! frames ([`DurabilityConfig::sync_every_ops`]); snapshots are taken
-//! at flush boundaries ([`DurableResolver::regenerate_hits`]) once
+//! the WAL replays cleanly by construction. Without a log, no
+//! [`WalOp`] is built at all. Group commit batches frames
+//! ([`DurabilityConfig::sync_every_ops`]); snapshots are taken at
+//! flush boundaries ([`DurableResolver::regenerate_hits`]) once
 //! [`DurabilityConfig::snapshot_every_ops`] operations have been
 //! logged since the last one — the only points where the resolver has
 //! no dirty clusters and
@@ -60,23 +61,45 @@ pub struct RecoveryReport {
     pub last_seq: u64,
 }
 
-/// An [`IncrementalResolver`] with a write-ahead log and snapshots in
-/// a [`Dir`]. All mutations go through this wrapper; reads go through
-/// [`resolver`](Self::resolver).
+/// A durable engine's write-ahead log and its snapshot directory.
 #[derive(Debug)]
-pub struct DurableResolver<D: Dir + Clone> {
-    resolver: IncrementalResolver,
+struct Log<D: Dir + Clone> {
     wal: WalWriter<D>,
     dir: D,
     config: DurabilityConfig,
+    ops_since_snapshot: usize,
+}
+
+/// An [`IncrementalResolver`] and the engine's worker-weight table,
+/// with an optional write-ahead log and snapshots in a [`Dir`]. All
+/// mutations go through this wrapper; reads go through
+/// [`resolver`](Self::resolver). [`create`](Self::create),
+/// [`create_with`](Self::create_with) and [`recover`](Self::recover)
+/// attach a log; [`in_memory`](Self::in_memory) runs the same methods
+/// without one.
+#[derive(Debug)]
+pub struct DurableResolver<D: Dir + Clone> {
+    resolver: IncrementalResolver,
     /// Engine-level serving state: `(worker, weight)`, sorted by
     /// worker id. Snapshot-carried so recovered engines weigh
     /// post-crash votes identically.
     weights: Vec<(u64, f64)>,
-    ops_since_snapshot: usize,
+    log: Option<Log<D>>,
 }
 
 impl<D: Dir + Clone> DurableResolver<D> {
+    /// An engine without a log: mutations apply to `resolver` and
+    /// nothing is written anywhere. [`sync`](Self::sync) and
+    /// [`checkpoint`](Self::checkpoint) do nothing, and
+    /// [`close`](Self::close) just returns the resolver.
+    pub fn in_memory(resolver: IncrementalResolver) -> Self {
+        DurableResolver {
+            resolver,
+            weights: Vec::new(),
+            log: None,
+        }
+    }
+
     /// Initialize a fresh durable resolver in an empty `dir`: writes
     /// snapshot 0 of the empty resolver and an empty WAL. Errors if
     /// the directory already holds a log.
@@ -109,12 +132,13 @@ impl<D: Dir + Clone> DurableResolver<D> {
         write_snapshot(&dir, 0, &resolver.export_state()?, &[])?;
         let wal = WalWriter::create(dir.clone(), 0)?;
         Ok(DurableResolver {
-            resolver,
-            wal,
-            dir,
-            config,
-            weights: Vec::new(),
-            ops_since_snapshot: 0,
+            log: Some(Log {
+                wal,
+                dir,
+                config,
+                ops_since_snapshot: 0,
+            }),
+            ..Self::in_memory(resolver)
         })
     }
 
@@ -123,8 +147,8 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// boundary a final checkpoint is written too, so the directory
     /// recovers instantly (snapshot only, empty log).
     pub fn close(mut self) -> Result<IncrementalResolver> {
-        self.wal.flush()?;
-        if self.resolver.export_state().is_ok() {
+        self.sync()?;
+        if self.log.is_some() && self.resolver.export_state().is_ok() {
             self.checkpoint()?;
         }
         Ok(self.resolver)
@@ -132,10 +156,11 @@ impl<D: Dir + Clone> DurableResolver<D> {
 
     /// Recover from whatever a crashed (or cleanly stopped) engine
     /// left in `dir`: validate the WAL, truncate its torn tail, load
-    /// the newest intact snapshot, and replay the log suffix. The
-    /// recovered engine's future behavior is bit-for-bit identical to
-    /// an engine that executed operations `1..=last_seq` and never
-    /// crashed.
+    /// the newest intact snapshot, and replay the log suffix through
+    /// [`apply`](Self::apply) on an in-memory engine before attaching
+    /// the log. The recovered engine's future behavior is bit-for-bit
+    /// identical to an engine that executed operations `1..=last_seq`
+    /// and never crashed.
     pub fn recover(
         dir: D,
         stream: StreamConfig,
@@ -147,23 +172,32 @@ impl<D: Dir + Clone> DurableResolver<D> {
             dir.truncate(WAL_NAME, contents.valid_len)?;
             dir.sync(WAL_NAME)?;
         }
-        let (snap_seq, state, mut weights) = load_latest_snapshot(&dir)?.ok_or_else(|| {
+        let (snap_seq, state, weights) = load_latest_snapshot(&dir)?.ok_or_else(|| {
             Error::InvalidData("recover: no intact snapshot in the directory".into())
         })?;
+        let last_seq = contents.last_seq().max(snap_seq);
         let mut resolver = IncrementalResolver::import_state(stream, state)?;
         resolver.compact_index();
+        let mut engine = DurableResolver {
+            weights,
+            ..Self::in_memory(resolver)
+        };
         let mut replayed = 0;
-        for (seq, op) in &contents.frames {
-            if *seq <= snap_seq {
+        for (seq, op) in contents.frames {
+            if seq <= snap_seq {
                 continue;
             }
-            replay(&mut resolver, &mut weights, op).map_err(|e| {
+            engine.apply(op).map_err(|e| {
                 Error::InvalidData(format!("recover: replay of op {seq} failed: {e}"))
             })?;
             replayed += 1;
         }
-        let last_seq = contents.last_seq().max(snap_seq);
-        let wal = WalWriter::resume(dir.clone(), last_seq)?;
+        engine.log = Some(Log {
+            wal: WalWriter::resume(dir.clone(), last_seq)?,
+            dir,
+            config,
+            ops_since_snapshot: replayed,
+        });
         crowder_obs::counter!("durable.recovery.runs").incr();
         crowder_obs::counter!("durable.recovery.replayed_frames").add(replayed as u64);
         crowder_obs::counter!("durable.recovery.torn_bytes").add(contents.torn_bytes);
@@ -173,17 +207,7 @@ impl<D: Dir + Clone> DurableResolver<D> {
             torn_bytes: contents.torn_bytes,
             last_seq,
         };
-        Ok((
-            DurableResolver {
-                resolver,
-                wal,
-                dir,
-                config,
-                weights,
-                ops_since_snapshot: replayed,
-            },
-            report,
-        ))
+        Ok((engine, report))
     }
 
     /// The underlying resolver, read-only. Mutations must go through
@@ -197,36 +221,45 @@ impl<D: Dir + Clone> DurableResolver<D> {
         &self.weights
     }
 
-    /// Sequence number of the last logged operation.
+    /// Sequence number of the last logged operation (0 without a log).
     pub fn last_seq(&self) -> u64 {
-        self.wal.next_seq() - 1
+        self.log.as_ref().map_or(0, |log| log.wal.next_seq() - 1)
     }
 
     /// Logged operations not yet made durable by a flush.
     pub fn unsynced_ops(&self) -> usize {
-        self.wal.buffered()
+        self.log.as_ref().map_or(0, |log| log.wal.buffered())
     }
 
-    fn log(&mut self, op: WalOp) -> Result<u64> {
-        let seq = self.wal.log(&op);
-        self.ops_since_snapshot += 1;
-        if self.wal.buffered() >= self.config.sync_every_ops {
-            self.wal.flush()?;
+    /// Log one applied mutation. `op` builds the frame from the
+    /// post-mutation state, so an engine without a log never builds
+    /// (or allocates) one.
+    fn log(&mut self, op: impl FnOnce(&IncrementalResolver, &[(u64, f64)]) -> WalOp) -> Result<()> {
+        let Some(log) = &mut self.log else {
+            return Ok(());
+        };
+        log.wal.log(&op(&self.resolver, &self.weights));
+        log.ops_since_snapshot += 1;
+        if log.wal.buffered() >= log.config.sync_every_ops {
+            log.wal.flush()?;
         }
-        Ok(seq)
+        Ok(())
     }
 
     /// Durably flush every logged-but-buffered operation now.
     pub fn sync(&mut self) -> Result<()> {
-        self.wal.flush()
+        match &mut self.log {
+            Some(log) => log.wal.flush(),
+            None => Ok(()),
+        }
     }
 
     /// A record arrival (logged).
     pub fn insert(&mut self, source: SourceId, fields: Vec<String>) -> Result<InsertReport> {
-        let report = self.resolver.insert(source, fields.clone())?;
-        self.log(WalOp::Insert {
+        let report = self.resolver.insert(source, fields)?;
+        self.log(|r, _| WalOp::Insert {
             source: source.0,
-            fields,
+            fields: fields_of(r, report.record),
         })?;
         Ok(report)
     }
@@ -243,14 +276,17 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// A record deletion (logged).
     pub fn remove(&mut self, record: RecordId) -> Result<RemoveReport> {
         let report = self.resolver.remove(record)?;
-        self.log(WalOp::Remove(record))?;
+        self.log(|_, _| WalOp::Remove(record))?;
         Ok(report)
     }
 
     /// An in-place correction (logged as one operation).
     pub fn update(&mut self, record: RecordId, fields: Vec<String>) -> Result<UpdateReport> {
-        let report = self.resolver.update(record, fields.clone())?;
-        self.log(WalOp::Update { record, fields })?;
+        let report = self.resolver.update(record, fields)?;
+        self.log(|r, _| WalOp::Update {
+            record,
+            fields: fields_of(r, record),
+        })?;
         Ok(report)
     }
 
@@ -263,7 +299,7 @@ impl<D: Dir + Clone> DurableResolver<D> {
         weight: f64,
     ) -> Result<EvidenceReport> {
         let report = self.resolver.record_evidence(pair, verdict, weight);
-        self.log(WalOp::Evidence {
+        self.log(|_, _| WalOp::Evidence {
             pair,
             verdict,
             weight,
@@ -274,23 +310,21 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// Forget all evidence for a pair (logged).
     pub fn retract(&mut self, pair: Pair) -> Result<EvidenceReport> {
         let report = self.resolver.retract(pair);
-        self.log(WalOp::Retract(pair))?;
+        self.log(|_, _| WalOp::Retract(pair))?;
         Ok(report)
     }
 
     /// Explicit dictionary re-rank + index rebuild (logged).
     pub fn rerank_now(&mut self) -> Result<()> {
         self.resolver.rerank_now();
-        self.log(WalOp::EpochRerank)?;
-        Ok(())
+        self.log(|_, _| WalOp::EpochRerank)
     }
 
     /// Replace the worker-weight table (logged).
     pub fn set_worker_weights(&mut self, mut weights: Vec<(u64, f64)>) -> Result<()> {
         weights.sort_unstable_by_key(|&(worker, _)| worker);
-        self.weights = weights.clone();
-        self.log(WalOp::Weights(weights))?;
-        Ok(())
+        self.weights = weights;
+        self.log(|_, w| WalOp::Weights(w.to_vec()))
     }
 
     /// Flush dirty clusters into regenerated HITs (logged — replay
@@ -299,39 +333,39 @@ impl<D: Dir + Clone> DurableResolver<D> {
     /// snapshot cadence has come due.
     pub fn regenerate_hits(&mut self) -> Result<HitDelta> {
         let delta = self.resolver.regenerate_hits()?;
-        self.log(WalOp::Flush)?;
-        if self.ops_since_snapshot >= self.config.snapshot_every_ops {
+        self.log(|_, _| WalOp::Flush)?;
+        if matches!(&self.log, Some(log) if log.ops_since_snapshot >= log.config.snapshot_every_ops)
+        {
             self.checkpoint()?;
         }
         Ok(delta)
     }
 
-    /// Take a snapshot now and reset the log. Legal only at a flush
-    /// boundary (no dirty clusters) — call
+    /// Take a snapshot now and reset the log; returns the snapshot's
+    /// sequence number (0 without a log, which writes nothing). Legal
+    /// only at a flush boundary (no dirty clusters) — call
     /// [`regenerate_hits`](Self::regenerate_hits) first, which does
     /// this automatically on cadence.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        self.wal.flush()?;
-        let seq = self.last_seq();
+        let Some(log) = &mut self.log else {
+            return Ok(0);
+        };
+        log.wal.flush()?;
+        let seq = log.wal.next_seq() - 1;
         {
             let _timer = crowder_obs::span!("durable.snapshot.write_ns");
-            write_snapshot(
-                &self.dir,
-                seq,
-                &self.resolver.export_state()?,
-                &self.weights,
-            )?;
+            write_snapshot(&log.dir, seq, &self.resolver.export_state()?, &self.weights)?;
         }
         crowder_obs::counter!("durable.snapshot.writes").incr();
-        self.wal = WalWriter::create(self.dir.clone(), seq)?;
-        prune_snapshots(&self.dir, seq)?;
-        self.ops_since_snapshot = 0;
+        log.wal = WalWriter::create(log.dir.clone(), seq)?;
+        prune_snapshots(&log.dir, seq)?;
+        log.ops_since_snapshot = 0;
         Ok(seq)
     }
 
-    /// Apply one logged-operation value through the engine (it is
-    /// applied *and* logged — this is the scripting entry point the
-    /// fault harness and benchmarks drive).
+    /// Apply one logged-operation value through the engine — the one
+    /// dispatcher over [`WalOp`]. Recovery replays the log through it,
+    /// and the fault harness and benchmarks script engines with it.
     pub fn apply(&mut self, op: WalOp) -> Result<()> {
         match op {
             WalOp::Insert { source, fields } => {
@@ -368,41 +402,9 @@ impl<D: Dir + Clone> DurableResolver<D> {
     }
 }
 
-/// Apply one WAL operation to a bare resolver + weight table — the
-/// recovery replay path. Must mirror the engine's mutation methods
-/// exactly (minus the logging).
-fn replay(
-    resolver: &mut IncrementalResolver,
-    weights: &mut Vec<(u64, f64)>,
-    op: &WalOp,
-) -> Result<()> {
-    match op {
-        WalOp::Insert { source, fields } => {
-            resolver.insert(SourceId(*source), fields.clone())?;
-        }
-        WalOp::Remove(record) => {
-            resolver.remove(*record)?;
-        }
-        WalOp::Update { record, fields } => {
-            resolver.update(*record, fields.clone())?;
-        }
-        WalOp::Retract(pair) => {
-            resolver.retract(*pair);
-        }
-        WalOp::Evidence {
-            pair,
-            verdict,
-            weight,
-        } => {
-            resolver.record_evidence(*pair, *verdict, *weight);
-        }
-        WalOp::EpochRerank => resolver.rerank_now(),
-        WalOp::Flush => {
-            resolver.regenerate_hits()?;
-        }
-        WalOp::Weights(w) => *weights = w.clone(),
-    }
-    Ok(())
+/// The stored fields of `record`, copied into a log frame.
+fn fields_of(resolver: &IncrementalResolver, record: RecordId) -> Vec<String> {
+    resolver.dataset().records()[record.index()].fields.clone()
 }
 
 /// Everything observable about a resolver's serving state, in

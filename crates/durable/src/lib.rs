@@ -8,6 +8,16 @@
 //! contract of `crowder-stream` (streamed ≡ batch) extends across
 //! process death.
 //!
+//! ## One engine, an optional log
+//!
+//! [`DurableResolver`] is the one mutation path over a resolver, with
+//! or without a log. [`DurableResolver::in_memory`] logs nothing, so
+//! callers that may or may not be durable (the streaming workflow, the
+//! serving worker, benchmark baselines) hold one type. [`WalOp`] is
+//! the logged form of one mutation, and [`DurableResolver::apply`] is
+//! the only dispatcher from a [`WalOp`] back to the engine: recovery
+//! replays the log through it, and test and bench scripts drive it.
+//!
 //! ## On-disk layout
 //!
 //! A durable resolver owns a directory ([`Dir`]) holding:
@@ -64,10 +74,10 @@
 //! 2. Load the highest-`seq` snapshot that passes its checksum
 //!    (corrupted ones are skipped — the previous snapshot plus a
 //!    longer replay still recovers).
-//! 3. Import the snapshot into a fresh
-//!    [`IncrementalResolver`](crowder_stream::IncrementalResolver) and
-//!    replay every WAL frame with `seq` greater than the snapshot's.
-//! 4. Resume logging at the next sequence number.
+//! 3. Import the snapshot into an in-memory engine and replay every
+//!    WAL frame with `seq` greater than the snapshot's through
+//!    [`DurableResolver::apply`].
+//! 4. Attach the log and resume logging at the next sequence number.
 //!
 //! [`DurableResolver::create`] writes snapshot 0 of the empty
 //! resolver, so step 2 always finds one in an uncorrupted directory.

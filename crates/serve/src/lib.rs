@@ -16,8 +16,10 @@
 //!
 //! ## The model, in four rules
 //!
-//! 1. **One writer.** A single worker thread owns the engine (plain
-//!    [`IncrementalResolver`] or [`crowder_durable::DurableResolver`]).
+//! 1. **One writer.** A single worker thread owns the engine, a
+//!    [`crowder_durable::DurableResolver`] with a log
+//!    ([`ResolverService::durable`]) or without one
+//!    ([`ResolverService::in_memory`]).
 //!    All commands — ingest batches and queries — pass through one
 //!    bounded FIFO, so the service's history is a *serial* order of
 //!    operations. Concurrency never changes what the resolver computes,

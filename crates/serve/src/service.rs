@@ -16,12 +16,15 @@
 //! * [`ResolverService::shutdown`] closes the queue, drains what was
 //!   accepted, flushes HITs, checkpoints (durable engines), and hands
 //!   the final resolver back.
+//! * If the worker stops early — a failed sync or checkpoint, or a
+//!   panic — the queue closes and every ticket and query it has not
+//!   answered fails with an error. No producer waits forever.
 
 use crowder_durable::{Dir, DurableResolver, MemDir};
 use crowder_stream::{HitDelta, IncrementalResolver, QueryMatch};
 use crowder_types::{Error, RecordId, Result, SourceId};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::queue::{BoundedQueue, PushError};
 
@@ -152,7 +155,7 @@ impl<T> Waiter<T> {
     }
 
     fn fill(&self, value: T) {
-        *self.slot.lock().unwrap() = Some(value);
+        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         self.cv.notify_all();
     }
 
@@ -167,81 +170,55 @@ impl<T> Waiter<T> {
     }
 }
 
+/// The worker's end of a [`Waiter`]. Filling it consumes it; dropping
+/// it unfilled fills `Err`. So however a command leaves the worker — an
+/// error return, a panic unwinding past it, or the drain after the
+/// queue closes — its producer never waits forever.
+struct Reply<T>(Option<Arc<Waiter<Result<T>>>>);
+
+impl<T> Reply<T> {
+    /// A fresh rendezvous: the worker's end and the producer's end.
+    fn new() -> (Self, Arc<Waiter<Result<T>>>) {
+        let waiter = Waiter::new();
+        (Reply(Some(Arc::clone(&waiter))), waiter)
+    }
+
+    fn fill(mut self, value: Result<T>) {
+        if let Some(waiter) = self.0.take() {
+            waiter.fill(value);
+        }
+    }
+}
+
+impl<T> Drop for Reply<T> {
+    fn drop(&mut self) {
+        if let Some(waiter) = self.0.take() {
+            waiter.fill(Err(Error::InvalidData(
+                "service worker stopped before answering".into(),
+            )));
+        }
+    }
+}
+
 enum Command {
     Ingest {
         records: Vec<IngestRecord>,
-        ticket: Arc<Waiter<Result<IngestReceipt>>>,
+        ticket: Reply<IngestReceipt>,
     },
     Resolve {
         source: SourceId,
         fields: Vec<String>,
-        reply: Arc<Waiter<Result<ClusterView>>>,
+        reply: Reply<ClusterView>,
     },
-}
-
-/// The worker's engine: a plain in-memory resolver or a durable one.
-/// `sync` is the group-commit barrier — a no-op for the plain engine
-/// (applied ⇒ "durable" in memory), a WAL flush for the durable one.
-enum ServeEngine<D: Dir + Clone> {
-    Plain(Box<IncrementalResolver>),
-    Durable(Box<DurableResolver<D>>),
-}
-
-impl<D: Dir + Clone> ServeEngine<D> {
-    fn view(&self) -> &IncrementalResolver {
-        match self {
-            ServeEngine::Plain(r) => r,
-            ServeEngine::Durable(d) => d.resolver(),
-        }
-    }
-
-    fn insert(
-        &mut self,
-        source: SourceId,
-        fields: Vec<String>,
-    ) -> Result<crowder_stream::InsertReport> {
-        match self {
-            ServeEngine::Plain(r) => r.insert(source, fields),
-            ServeEngine::Durable(d) => d.insert(source, fields),
-        }
-    }
-
-    fn query(&mut self, source: SourceId, fields: &[String]) -> Result<Vec<QueryMatch>> {
-        match self {
-            ServeEngine::Plain(r) => r.query(source, fields),
-            ServeEngine::Durable(d) => d.query(source, fields),
-        }
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        match self {
-            ServeEngine::Plain(_) => Ok(()),
-            ServeEngine::Durable(d) => d.sync(),
-        }
-    }
-
-    fn regenerate_hits(&mut self) -> Result<HitDelta> {
-        match self {
-            ServeEngine::Plain(r) => r.regenerate_hits(),
-            ServeEngine::Durable(d) => d.regenerate_hits(),
-        }
-    }
-
-    fn finish(self) -> Result<IncrementalResolver> {
-        match self {
-            ServeEngine::Plain(r) => Ok(*r),
-            ServeEngine::Durable(d) => d.close(),
-        }
-    }
 }
 
 /// What the worker thread hands back on drain: the engine, the
 /// applied-op count, and the final HIT flush.
-type WorkerOutcome<D> = (ServeEngine<D>, u64, HitDelta);
+type WorkerOutcome<D> = (DurableResolver<D>, u64, HitDelta);
 
-/// A ticket's rendezvous cell paired with the outcome to deliver —
-/// group-commit acks buffer here until `sync()` decides their fate.
-type PendingAck = (Arc<Waiter<Result<IngestReceipt>>>, Result<IngestReceipt>);
+/// A ticket paired with the outcome to deliver — group-commit acks
+/// buffer here until `sync()` decides their fate.
+type PendingAck = (Reply<IngestReceipt>, Result<IngestReceipt>);
 
 /// The concurrent serving surface over one resolver. Cheap to share:
 /// every public method takes `&self`, so wrap the service in an `Arc`
@@ -253,21 +230,18 @@ pub struct ResolverService<D: Dir + Clone + Send + 'static> {
 }
 
 impl ResolverService<MemDir> {
-    /// Serve a plain in-memory resolver (no durability; `sync` is a
-    /// no-op, so acknowledgement means "applied").
+    /// Serve a resolver without durability: the worker runs a
+    /// [`DurableResolver::in_memory`] engine, whose `sync` does
+    /// nothing, so acknowledgement means "applied".
     pub fn in_memory(resolver: IncrementalResolver, config: ServeConfig) -> Self {
-        Self::start(ServeEngine::Plain(Box::new(resolver)), config)
+        Self::durable(DurableResolver::in_memory(resolver), config)
     }
 }
 
 impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
-    /// Serve a durable resolver: every acknowledged ingest batch has
+    /// Serve `engine`. With a log, every acknowledged ingest batch has
     /// hit the WAL (group commit) before its ticket resolves.
     pub fn durable(engine: DurableResolver<D>, config: ServeConfig) -> Self {
-        Self::start(ServeEngine::Durable(Box::new(engine)), config)
-    }
-
-    fn start(engine: ServeEngine<D>, config: ServeConfig) -> Self {
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
         let worker_queue = Arc::clone(&queue);
         let worker = std::thread::Builder::new()
@@ -285,10 +259,10 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
     /// backpressure signal; nothing was applied, so the caller can
     /// retry the identical batch later without double-ingesting.
     pub fn try_ingest(&self, records: Vec<IngestRecord>) -> TrySubmit {
-        let ticket = Waiter::new();
+        let (reply, ticket) = Reply::new();
         let command = Command::Ingest {
             records,
-            ticket: Arc::clone(&ticket),
+            ticket: reply,
         };
         self.observe_queue();
         match self.queue.try_push(command) {
@@ -308,10 +282,10 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
     /// (throttling instead of rejection). Errors only if the service
     /// is shutting down.
     pub fn ingest(&self, records: Vec<IngestRecord>) -> Result<IngestTicket> {
-        let ticket = Waiter::new();
+        let (reply, ticket) = Reply::new();
         let command = Command::Ingest {
             records,
-            ticket: Arc::clone(&ticket),
+            ticket: reply,
         };
         self.observe_queue();
         match self.queue.push(command) {
@@ -331,11 +305,11 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
     /// buys nothing.
     pub fn resolve(&self, source: SourceId, fields: Vec<String>) -> Result<ClusterView> {
         let _timer = crowder_obs::span_light!("service.query.resolve_ns");
-        let reply = Waiter::new();
+        let (reply, answer) = Reply::new();
         let command = Command::Resolve {
             source,
             fields,
-            reply: Arc::clone(&reply),
+            reply,
         };
         self.observe_queue();
         if self.queue.push(command).is_err() {
@@ -343,7 +317,7 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
                 "service is shutting down: query rejected".into(),
             ));
         }
-        reply.take()
+        answer.take()
     }
 
     /// Commands currently queued (the saturation signal producers can
@@ -373,7 +347,7 @@ impl<D: Dir + Clone + Send + 'static> ResolverService<D> {
             .join()
             .map_err(|_| Error::InvalidData("service worker panicked".into()))??;
         Ok(ShutdownReport {
-            resolver: engine.finish()?,
+            resolver: engine.close()?,
             applied_ops,
             final_flush,
         })
@@ -419,12 +393,28 @@ fn build_view(
     }
 }
 
+/// Closes the queue and drains it when the worker exits, however it
+/// exits: a clean drain, an error return, or a panic. Each command
+/// still queued drops its unfilled [`Reply`], which fails it, and
+/// producers blocked on a full queue get their submission back.
+struct DrainOnExit<'a>(&'a BoundedQueue<Command>);
+
+impl Drop for DrainOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+        while !self.0.pop_group(usize::MAX).is_empty() {}
+    }
+}
+
 /// The single consumer: apply commands serially, group-commit, ack.
+/// Any error stops the worker; the tickets and replies it still holds
+/// fail as they drop, and [`DrainOnExit`] fails everything queued.
 fn worker_loop<D: Dir + Clone>(
-    mut engine: ServeEngine<D>,
+    mut engine: DurableResolver<D>,
     queue: &BoundedQueue<Command>,
     config: ServeConfig,
-) -> Result<(ServeEngine<D>, u64, HitDelta)> {
+) -> Result<WorkerOutcome<D>> {
+    let _drain = DrainOnExit(queue);
     let mut applied_ops: u64 = 0;
     let mut since_flush: usize = 0;
     loop {
@@ -489,15 +479,15 @@ fn worker_loop<D: Dir + Clone>(
                     // group's sync (they carry nothing to make durable).
                     let answer = engine
                         .query(source, &fields)
-                        .map(|matches| build_view(engine.view(), matches, applied_ops));
+                        .map(|matches| build_view(engine.resolver(), matches, applied_ops));
                     reply.fill(answer);
                 }
             }
         }
         // Group commit: nothing is acknowledged until the WAL holds it.
-        if let Err(e) = engine.sync() {
-            return poison(engine, queue, pending, e);
-        }
+        // If the sync fails, nothing in the group is durable, and every
+        // ticket of the group fails as `pending` drops.
+        engine.sync()?;
         let mut acked = 0usize;
         for (ticket, outcome) in pending {
             if let Ok(receipt) = &outcome {
@@ -510,9 +500,7 @@ fn worker_loop<D: Dir + Clone>(
         }
         if since_flush >= config.flush_every_ops {
             engine.regenerate_hits()?;
-            if let Err(e) = engine.sync() {
-                return poison(engine, queue, Vec::new(), e);
-            }
+            engine.sync()?;
             since_flush = 0;
         }
     }
@@ -522,32 +510,30 @@ fn worker_loop<D: Dir + Clone>(
     Ok((engine, applied_ops, final_flush))
 }
 
-/// A group commit failed: nothing in the group is durable, so every
-/// ticket of the group fails, the queue closes, and everything still
-/// queued fails too — no producer is left waiting on a dead worker.
-fn poison<D: Dir + Clone>(
-    engine: ServeEngine<D>,
-    queue: &BoundedQueue<Command>,
-    pending: Vec<PendingAck>,
-    error: Error,
-) -> Result<(ServeEngine<D>, u64, HitDelta)> {
-    let dead = |what: &str| Error::InvalidData(format!("service group commit failed: {what}"));
-    for (ticket, _) in pending {
-        ticket.fill(Err(dead("batch not acknowledged")));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic in the engine unwinds through the worker with a command
+    /// in hand and more still queued: the guards fail all of them.
+    #[test]
+    fn a_panicking_worker_fails_every_waiter() {
+        let queue = BoundedQueue::new(4);
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let (ticket, waiter) = Reply::new();
+                let records = Vec::new();
+                assert!(queue.push(Command::Ingest { records, ticket }).is_ok());
+                waiter
+            })
+            .collect();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _drain = DrainOnExit(&queue);
+            let group = queue.pop_group(1);
+            panic!("engine panic with {} command(s) in hand", group.len());
+        }));
+        assert!(unwound.is_err());
+        assert!(waiters.iter().all(|w| w.take().is_err()));
+        assert!(queue.is_closed() && queue.is_empty());
     }
-    queue.close();
-    loop {
-        let rest = queue.pop_group(usize::MAX);
-        if rest.is_empty() {
-            break;
-        }
-        for command in rest {
-            match command {
-                Command::Ingest { ticket, .. } => ticket.fill(Err(dead("service stopped"))),
-                Command::Resolve { reply, .. } => reply.fill(Err(dead("service stopped"))),
-            }
-        }
-    }
-    drop(engine);
-    Err(error)
 }

@@ -84,17 +84,20 @@ fn crash_run(budget: usize) -> (u64, u64, MemDir) {
         next += BATCH;
     }
     // Phase 2: power loss armed; keep submitting until a group commit
-    // hits the fault and the service poisons itself.
+    // hits the fault and the stopped worker closes the queue. The cap
+    // is far past every budget below, so only a worker that never
+    // fails can reach it — however the threads are scheduled.
     faulty.arm(budget);
+    const MAX_RECORDS: usize = 10_000;
     let mut inflight = Vec::new();
-    'feed: for _ in 0..200 {
+    while next < MAX_RECORDS {
         match service.try_ingest(batch(next, BATCH)) {
             TrySubmit::Accepted(ticket) => {
                 next += BATCH;
                 inflight.push(ticket);
             }
             TrySubmit::Full(_) => std::thread::yield_now(),
-            TrySubmit::Closed(_) => break 'feed, // poisoned: stop feeding
+            TrySubmit::Closed(_) => break,
         }
     }
     let submitted = next as u64;
@@ -109,8 +112,8 @@ fn crash_run(budget: usize) -> (u64, u64, MemDir) {
         saw_failure,
         "the armed fault must fail at least one group commit"
     );
-    // The worker has already poisoned itself; shutdown surfaces the
-    // sync error instead of a report.
+    // The worker has already stopped; shutdown surfaces the sync error
+    // instead of a report.
     assert!(
         service.shutdown().is_err(),
         "crashed shutdown must report the fault"
@@ -203,4 +206,62 @@ fn clean_shutdown_recovers_everything() {
         final_digest,
         "recovery after clean shutdown reproduces the final state"
     );
+}
+
+/// A crash inside a cadence checkpoint fails `regenerate_hits` after
+/// the batch was acknowledged. The worker stops, and every later call
+/// gets an error instead of waiting on it forever.
+#[test]
+fn a_failed_cadence_checkpoint_fails_every_later_call() {
+    // A service that checkpoints at every HIT flush, and flushes after
+    // every `flush_every` records.
+    let start = |flush_every| {
+        let faulty = FaultyDir::new();
+        let durability = DurabilityConfig {
+            sync_every_ops: 1_000_000,
+            snapshot_every_ops: 1,
+        };
+        let engine = DurableResolver::create(
+            faulty.clone(),
+            "serve",
+            vec!["name".into()],
+            PairSpace::SelfJoin,
+            stream_config(),
+            durability,
+        )
+        .unwrap();
+        let config = ServeConfig {
+            queue_capacity: 4,
+            group_commit_max: 1,
+            flush_every_ops: flush_every,
+        };
+        (ResolverService::durable(engine, config), faulty)
+    };
+    // Bytes one acked 2-record batch writes, without and with the
+    // flush + checkpoint after it. The worker answers the query only
+    // after that flush.
+    let bytes = |flush_every| {
+        let (service, faulty) = start(flush_every);
+        let before = faulty.mutated();
+        service.ingest(batch(0, 2)).unwrap().wait().unwrap();
+        service.resolve(SourceId(0), vec![name(0)]).unwrap();
+        faulty.mutated() - before
+    };
+    let (commit, with_checkpoint) = (bytes(usize::MAX), bytes(2));
+    assert!(with_checkpoint > commit + 2, "the checkpoint writes");
+
+    let (service, faulty) = start(2);
+    faulty.arm((commit + with_checkpoint) / 2);
+    let receipt = service.ingest(batch(0, 2)).unwrap().wait();
+    assert!(receipt.is_ok(), "the group commit fits the budget");
+    assert!(
+        service.resolve(SourceId(0), vec![name(0)]).is_err(),
+        "a query after the failed checkpoint must fail, not block"
+    );
+    assert!(faulty.crashed());
+    assert!(matches!(
+        service.try_ingest(batch(2, 2)),
+        TrySubmit::Closed(_)
+    ));
+    assert!(service.shutdown().is_err(), "shutdown reports the fault");
 }
