@@ -129,9 +129,8 @@ pub struct StreamingConfig {
     /// Write-ahead logging + snapshots (off by default; see
     /// [`DurabilityOptions`]).
     pub durability: Option<DurabilityOptions>,
-    /// Shard/thread layout of the resolver's delta index (results are
-    /// bit-for-bit invariant under it; see
-    /// [`IndexLayout`](crowder_stream::IndexLayout)).
+    /// Layout of the resolver's delta index, forwarded to
+    /// [`StreamConfig::layout`]. [`IndexLayout`] has a single value.
     pub index_layout: IndexLayout,
 }
 
@@ -150,7 +149,7 @@ impl Default for StreamingConfig {
             evidence: EvidenceConfig::default(),
             faults: FaultPlan::default(),
             durability: None,
-            index_layout: IndexLayout::default(),
+            index_layout: IndexLayout,
         }
     }
 }

@@ -5,58 +5,37 @@
 //! or *large* (> k). The split is computed here; classification lives
 //! with the two-tiered generator.
 
-use crate::graph::PairGraph;
 use crate::unionfind::UnionFind;
 use crowder_types::{Pair, RecordId};
 
-/// Group the vertices of `graph` into connected components.
-///
-/// Components are returned as lists of [`RecordId`]s; each list is sorted
-/// and the components themselves are ordered by their smallest member, so
-/// the output is deterministic.
-pub fn connected_components(graph: &PairGraph) -> Vec<Vec<RecordId>> {
-    let n = graph.vertex_count();
-    let mut uf = UnionFind::new(n);
-    for (u, v) in graph.edges() {
-        uf.union(u as usize, v as usize);
-    }
-    let mut groups: std::collections::HashMap<usize, Vec<RecordId>> =
-        std::collections::HashMap::new();
-    for v in 0..n {
-        groups
-            .entry(uf.find(v))
-            .or_default()
-            .push(graph.record(v as u32));
-    }
-    let mut out: Vec<Vec<RecordId>> = groups
-        .into_values()
-        .map(|mut g| {
-            g.sort_unstable();
-            g
-        })
-        .collect();
-    out.sort_by_key(|g| g[0]);
-    out
-}
-
 /// Partition a pair list by connected component: returns, for each
 /// component, the pairs whose endpoints both lie in it (which is all the
-/// pairs touching it, since pairs are edges).
+/// pairs touching it, since pairs are edges). Components are ordered by
+/// their smallest record and each group is sorted and deduplicated, so
+/// the output is deterministic.
 pub fn pairs_by_component(pairs: &[Pair]) -> Vec<Vec<Pair>> {
-    let graph = PairGraph::from_pairs(pairs);
-    let comps = connected_components(&graph);
-    // Map record -> component index.
-    let mut comp_of: std::collections::HashMap<RecordId, usize> = std::collections::HashMap::new();
-    for (ci, comp) in comps.iter().enumerate() {
-        for &r in comp {
-            comp_of.insert(r, ci);
+    // Dense index over the touched records, ascending.
+    let mut records: Vec<RecordId> = pairs.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
+    records.sort_unstable();
+    records.dedup();
+    let dense = |r: RecordId| records.binary_search(&r).expect("touched record");
+    let mut uf = UnionFind::new(records.len());
+    for pair in pairs {
+        uf.union(dense(pair.lo()), dense(pair.hi()));
+    }
+    // Label each root by its component's smallest member.
+    let mut label = vec![usize::MAX; records.len()];
+    let mut components = 0;
+    for v in 0..records.len() {
+        let root = uf.find(v);
+        if label[root] == usize::MAX {
+            label[root] = components;
+            components += 1;
         }
     }
-    let mut out: Vec<Vec<Pair>> = vec![Vec::new(); comps.len()];
+    let mut out: Vec<Vec<Pair>> = vec![Vec::new(); components];
     for pair in pairs {
-        let ci = comp_of[&pair.lo()];
-        debug_assert_eq!(ci, comp_of[&pair.hi()], "edge must not span components");
-        out[ci].push(*pair);
+        out[label[uf.find(dense(pair.lo()))]].push(*pair);
     }
     for group in &mut out {
         group.sort();
@@ -88,11 +67,13 @@ mod tests {
     fn figure5_has_two_components() {
         // Paper §5.1: the Figure 5 graph consists of two connected
         // components — {r1..r7} (an LCC at k=4) and {r8, r9} (an SCC).
-        let g = PairGraph::from_pairs(&figure5_pairs());
-        let comps = connected_components(&g);
-        assert_eq!(comps.len(), 2);
-        assert_eq!(comps[0], (1..=7).map(RecordId).collect::<Vec<_>>());
-        assert_eq!(comps[1], vec![RecordId(8), RecordId(9)]);
+        let split = pairs_by_component(&figure5_pairs());
+        assert_eq!(split.len(), 2);
+        let mut members: Vec<RecordId> = split[0].iter().flat_map(|p| [p.lo(), p.hi()]).collect();
+        members.sort_unstable();
+        members.dedup();
+        assert_eq!(members, (1..=7).map(RecordId).collect::<Vec<_>>());
+        assert_eq!(split[1], vec![Pair::of(8, 9)]);
     }
 
     #[test]
@@ -105,15 +86,14 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let g = PairGraph::from_pairs(&[]);
-        assert!(connected_components(&g).is_empty());
         assert!(pairs_by_component(&[]).is_empty());
     }
 
     #[test]
     fn singleton_edges_are_their_own_components() {
         let pairs = vec![Pair::of(0, 1), Pair::of(2, 3), Pair::of(4, 5)];
-        let comps = connected_components(&PairGraph::from_pairs(&pairs));
-        assert_eq!(comps.len(), 3);
+        let split = pairs_by_component(&pairs);
+        assert_eq!(split.len(), 3);
+        assert_eq!(split[1], vec![Pair::of(2, 3)]);
     }
 }

@@ -7,12 +7,12 @@
 //! cluster-based HIT is a vertex set that *covers* the edges inside it.
 //! All five cluster-HIT generators operate on this structure:
 //!
-//! * [`PairGraph`] — immutable snapshot built from a pair list, with
-//!   connected-component extraction (the two-tiered algorithm's first
-//!   step, Algorithm 1 line 2),
+//! * [`pairs_by_component`](components::pairs_by_component) — splits a
+//!   pair list by connected component (the two-tiered algorithm's first
+//!   step, Algorithm 1 line 2), labelling components with
+//!   [`UnionFind`] — disjoint sets over a dense record index,
 //! * [`MutGraph`] — an adjacency-set graph supporting the edge removals
 //!   every generator performs ("remove the edges covered by H"),
-//! * [`UnionFind`] — disjoint sets for component labelling (grow-only),
 //! * [`DynamicConnectivity`] — fully-dynamic connectivity with edge
 //!   *removal* and split detection, the substrate of fault-tolerant
 //!   clustering in `crowder-stream` (wrong crowd answers decommit
@@ -21,12 +21,9 @@
 
 pub mod components;
 pub mod dynforest;
-pub mod graph;
 pub mod mutgraph;
 pub mod unionfind;
 
-pub use components::connected_components;
 pub use dynforest::{DynamicConnectivity, EdgeCut, EdgeLink};
-pub use graph::PairGraph;
 pub use mutgraph::MutGraph;
 pub use unionfind::UnionFind;

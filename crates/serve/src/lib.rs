@@ -42,14 +42,14 @@
 //!    state after *exactly* [`ClusterView::applied_ops`] accepted ops —
 //!    never a torn view, never a partially applied batch group visible
 //!    mid-merge. The matches themselves are bit-for-bit what an arrival
-//!    with the queried fields would have surfaced (same sharded
+//!    with the queried fields would have surfaced (same
 //!    [`crowder_stream::DeltaIndex`] probe, read-only).
 //!
 //! Below the service, `crowder_stream`'s [`crowder_stream::DeltaIndex`]
-//! is sharded by token-rank band ([`crowder_stream::IndexLayout`]) so a
-//! single arrival's probe can fan out across shards in parallel — the
-//! shard/thread layout is provably invisible to results *and* to the
-//! filter funnel (see `crates/stream/tests/exactness.rs`).
+//! probes on the worker thread, with the PPJoin+ kernel the batch join
+//! uses (`crowder_simjoin::probe`); its results and filter funnel are a
+//! pure function of the live corpus (see
+//! `crates/stream/tests/exactness.rs`).
 //!
 //! ## Observability
 //!

@@ -13,7 +13,7 @@
 
 use crowder_serve::{IngestReceipt, IngestRecord, ResolverService, ServeConfig, TrySubmit};
 use crowder_simjoin::{prefix_join, TokenTable};
-use crowder_stream::{IncrementalResolver, IndexLayout, StreamConfig};
+use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{Dataset, PairSpace, RecordId, SourceId};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,10 +33,6 @@ const NAME_POOL: &[&str] = &[
 fn stream_config() -> StreamConfig {
     StreamConfig {
         threshold: 0.35,
-        layout: IndexLayout {
-            shards: 4,
-            probe_threads: 1,
-        },
         ..StreamConfig::default()
     }
 }

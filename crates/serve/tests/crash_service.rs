@@ -6,7 +6,7 @@
 
 use crowder_durable::{digest, DurabilityConfig, DurableResolver, FaultyDir, MemDir};
 use crowder_serve::{IngestRecord, ResolverService, ServeConfig, TrySubmit};
-use crowder_stream::{IncrementalResolver, IndexLayout, StreamConfig};
+use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{PairSpace, SourceId};
 
 const NAME_POOL: &[&str] = &[
@@ -23,10 +23,6 @@ const NAME_POOL: &[&str] = &[
 fn stream_config() -> StreamConfig {
     StreamConfig {
         threshold: 0.35,
-        layout: IndexLayout {
-            shards: 2,
-            probe_threads: 1,
-        },
         ..StreamConfig::default()
     }
 }

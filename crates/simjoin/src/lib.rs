@@ -67,13 +67,15 @@ pub mod allpairs;
 pub mod blocking;
 pub mod filters;
 pub mod prefix;
+pub mod probe;
 pub mod qgram;
 pub mod sweep;
 pub mod tokens;
 
 pub use allpairs::all_pairs_scored;
 pub use blocking::token_blocking_pairs;
-pub use prefix::{prefix_join, prefix_join_with_stats, publish_funnel, JoinStats};
+pub use prefix::{prefix_join, prefix_join_with_stats};
+pub use probe::{publish_funnel, JoinStats};
 pub use qgram::qgram_blocking_pairs;
 pub use sweep::{threshold_sweep, SweepRow};
 pub use tokens::TokenTable;

@@ -1,49 +1,29 @@
-//! PPJoin+-class similarity join: prefix, length, positional, and
-//! suffix filtering over an indexing-prefix inverted index, with
-//! resume-merge verification.
+//! The batch PPJoin+ join: a bulk-built [`PostingTable`] plus one probe
+//! per record, both from the shared kernel in [`probe`](crate::probe).
 //!
 //! The paper's footnote to §2.2 and its related-work pointers ([2, 5,
-//! 26]) note that indexing avoids the all-pairs comparison. This module
-//! implements the filter pipeline of Xiao et al.'s PPJoin+ for Jaccard
-//! thresholds, on top of the interned, frequency-ordered id lists that
-//! [`TokenTable`] builds once per corpus. Records are processed in
-//! ascending `(token count, id)` order, so every probe is at least as
-//! long as every indexed record it can reach. For a probing record `x`
-//! and an indexed record `y` (`|y| ≤ |x|`), a pair survives only if it
-//! passes, in order:
+//! 26]) note that indexing avoids the all-pairs comparison. The join
+//! runs Xiao et al.'s PPJoin+ filter pipeline for Jaccard thresholds on
+//! the interned, frequency-ordered id lists that [`TokenTable`] builds
+//! once per corpus (see the [`probe`](crate::probe) module docs for the
+//! filters and the funnel).
 //!
-//! 1. **prefix filter** — `x` probes with its *probe prefix*, the first
-//!    `|x| − ⌈t·|x|⌉ + 1` (rarest) tokens, but the index holds only each
-//!    record's *indexing prefix*, the first `|y| − ⌈2t/(1+t)·|y|⌉ + 1`
-//!    tokens: since probes are never shorter than indexed records, the
-//!    required overlap is at least `⌈2t/(1+t)·|y|⌉`, which shrinks both
-//!    the index and the candidate count (the PPJoin index reduction);
-//! 2. **length filter** — `|y| ≥ ⌈t·|x|⌉`, applied by binary-searching
-//!    the length-ordered posting lists;
-//! 3. **positional filter** (PPJoin) — at the first shared prefix token,
-//!    sitting at position `i` of `x` and `j` of `y`, the overlap so far
-//!    is exactly 1 (earlier shared tokens would have generated the
-//!    candidate earlier), so the total overlap is at most
-//!    `1 + min(|x|−i−1, |y|−j−1)`; if that cannot reach the required
-//!    overlap `α = ⌈t/(1+t)·(|x|+|y|)⌉`, the candidate is dropped;
-//! 4. **suffix filter** (PPJoin+) — the suffixes `x[i+1..]` and
-//!    `y[j+1..]` must supply the remaining `α − 1` overlap, i.e. their
-//!    Hamming distance can be at most
-//!    `Hmax = |xs| + |ys| − 2·(α − 1)`. A recursive binary partition of
-//!    both suffixes around pivot tokens (depth-bounded by
-//!    [`SUFFIX_FILTER_DEPTH`], early-abandoning against the remaining
-//!    budget) lower-bounds that distance without merging; candidates
-//!    whose bound exceeds `Hmax` are dropped unverified;
-//! 5. **resume-merge verification** — survivors are verified exactly,
-//!    but the integer merge *resumes* at `(i+1, j+1)` with overlap 1
-//!    instead of re-merging the whole id lists (everything at or before
-//!    the first shared prefix position is already accounted for), and
-//!    abandons as soon as the remaining tails cannot reach `α`.
+//! What makes the batch driver different from the stream's is the
+//! order: each record probes only the records before it in ascending
+//! `(token count, id)` order, so every pair is generated exactly once
+//! and the probing side is the longer one. Indexed records therefore
+//! only ever meet longer probes, so the table holds each record's
+//! shorter PPJoin *indexing prefix* — the first
+//! `|y| − ⌈2t/(1+t)·|y|⌉ + 1` tokens — instead of the probe prefix,
+//! which shrinks both the index and the candidate count. Every posting
+//! list is ordered by `(len, id)`, so a probe bounded by
+//! [`Probe::before`] reads one prefix of each list.
 //!
-//! The index is built once, sequentially (it is cheap: indexing prefixes
-//! only); probing is parallelized by striding the length-sorted record
-//! order across scoped threads, each with a local result buffer and
-//! filter counters, concatenated/summed in thread order.
+//! The table is built once, sequentially (indexing prefixes only, so it
+//! is cheap), and only read afterwards; probing strides the
+//! length-sorted records across scoped threads, each with its own
+//! [`Scratch`], result buffer and funnel, concatenated and summed in
+//! thread order.
 //!
 //! Output is identical to [`all_pairs_scored`](crate::all_pairs_scored)
 //! for the same threshold — a property-tested invariant — and
@@ -51,91 +31,12 @@
 //! stage discarded.
 
 use crate::allpairs::effective_threads;
-use crate::filters::{
-    extend_prefix, extended_prefix_len, index_prefix_len, min_match_len, min_overlap,
-    overlap_reaching, positional_len_cutoff, posting_tier, prefix_len, suffix_hamming_lb,
-    BandSignature, MAX_PREFIX_EXT,
-};
+use crate::filters::{index_prefix_len, BandSignature};
+use crate::probe::{publish_funnel, JoinStats, PostingTable, Probe, Scratch};
 use crate::tokens::TokenTable;
 use crowder_types::{Dataset, Pair, RecordId, ScoredPair};
 
 pub use crate::filters::SUFFIX_FILTER_DEPTH;
-
-/// One index entry: which record (by position in the length-sorted
-/// order) carries the token, where in its id list the token sits, and
-/// the token's count-filter tier (0 inside the base indexing prefix,
-/// `n ≥ 1` for the n-th frontier token — only probes running the count
-/// filter at level `> n` may count it).
-#[derive(Debug, Clone, Copy)]
-struct Posting {
-    rank: u32,
-    pos: u32,
-    tier: u8,
-}
-
-/// Per-join filter-funnel counters, summed across worker threads.
-///
-/// `candidates` splits into the five leak-free buckets
-/// `positional_pruned + space_pruned + signature_rejected +
-/// suffix_pruned + verified`; `results ≤ verified`. Pairs killed
-/// *before* the candidate stage — the length skip, the count filter,
-/// and the last-token truncation — never surface in the funnel at all:
-/// they were proven dead from the index geometry alone, without
-/// enumerating the pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JoinStats {
-    /// Distinct pairs surviving prefix + length filtering, the count
-    /// filter, and last-token truncation (index hits after per-probe
-    /// dedup).
-    pub candidates: u64,
-    /// Candidates discarded by the positional filter.
-    pub positional_pruned: u64,
-    /// Candidates discarded because the pair is outside the dataset's
-    /// [`PairSpace`](crowder_types::PairSpace) (e.g. intra-source).
-    pub space_pruned: u64,
-    /// Candidates discarded by the 256-bit band-signature lower bound
-    /// on the symmetric difference (short records only: the check
-    /// self-gates once `lx + ly − 2α ≥ 256`).
-    pub signature_rejected: u64,
-    /// Candidates discarded by the suffix filter.
-    pub suffix_pruned: u64,
-    /// Candidates that reached exact (resume-merge) verification.
-    pub verified: u64,
-    /// Verified candidates meeting the threshold — the output size.
-    pub results: u64,
-}
-
-impl JoinStats {
-    /// Accumulate another funnel's counters (summing across worker
-    /// threads, or across delta joins in `crowder-stream`).
-    pub fn absorb(&mut self, other: &JoinStats) {
-        self.candidates += other.candidates;
-        self.positional_pruned += other.positional_pruned;
-        self.space_pruned += other.space_pruned;
-        self.signature_rejected += other.signature_rejected;
-        self.suffix_pruned += other.suffix_pruned;
-        self.verified += other.verified;
-        self.results += other.results;
-    }
-}
-
-/// Publish a funnel into the global `simjoin.funnel.*` observability
-/// counters — the shared export path for every engine that runs the
-/// PPJoin+ filter pipeline (the batch join here, the per-arrival
-/// `DeltaIndex` probe in `crowder-stream`). Called once per join/probe,
-/// not per candidate, so the cost is a handful of relaxed atomics.
-pub fn publish_funnel(stats: &JoinStats) {
-    if !crowder_obs::recording() {
-        return;
-    }
-    crowder_obs::counter!("simjoin.funnel.candidates").add(stats.candidates);
-    crowder_obs::counter!("simjoin.funnel.positional_pruned").add(stats.positional_pruned);
-    crowder_obs::counter!("simjoin.funnel.space_pruned").add(stats.space_pruned);
-    crowder_obs::counter!("simjoin.funnel.signature_rejected").add(stats.signature_rejected);
-    crowder_obs::counter!("simjoin.funnel.suffix_pruned").add(stats.suffix_pruned);
-    crowder_obs::counter!("simjoin.funnel.verified").add(stats.verified);
-    crowder_obs::counter!("simjoin.funnel.results").add(stats.results);
-}
 
 /// Jaccard similarity join via the PPJoin+ filter pipeline (see the
 /// module docs). Returns pairs with similarity ≥ `threshold`, sorted by
@@ -184,69 +85,51 @@ pub fn prefix_join_with_stats(
     }
     let n = dataset.len();
     let docs: Vec<&[u32]> = (0..n).map(|i| tokens.ids(RecordId(i as u32))).collect();
-
-    // Probe records in ascending (token count, id) order so every pair
-    // is generated exactly once, with the probing side the longer one —
-    // the precondition for the indexing-prefix reduction.
+    // Indexing in (len, id) order appends every posting at the end of
+    // its list; probing in the same order keeps neighbouring probes on
+    // the same stretch of each list.
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&i| (docs[i as usize].len(), i));
-    let lens: Vec<u32> = order
-        .iter()
-        .map(|&i| docs[i as usize].len() as u32)
-        .collect();
-
-    // Inverted index over *extended* indexing prefixes, in rank order:
-    // each posting list is ascending in rank and therefore in record
-    // length. Tokens past the base indexing prefix carry their
-    // count-filter tier, so level-1 probes skip them and higher-level
-    // probes count them (the Adapt-Join extension).
-    let mut postings: Vec<Vec<Posting>> = vec![Vec::new(); tokens.dict().len()];
-    for (rank, &x) in order.iter().enumerate() {
+    order.sort_unstable_by_key(|&x| (docs[x as usize].len(), x));
+    let mut table = PostingTable::with_ranks(0..tokens.dict().len() as u32);
+    for &x in &order {
         let doc = docs[x as usize];
-        if doc.is_empty() {
-            continue;
-        }
-        let base = index_prefix_len(doc.len(), threshold);
-        let window = extended_prefix_len(base, doc.len());
-        for (pos, &tok) in doc[..window].iter().enumerate() {
-            postings[tok as usize].push(Posting {
-                rank: rank as u32,
-                pos: pos as u32,
-                tier: posting_tier(pos, base),
-            });
+        if !doc.is_empty() {
+            table.insert(x, doc, index_prefix_len(doc.len(), threshold));
         }
     }
-
-    // Per-record 256-bit band signatures (ids are dense rarest-first
-    // ranks, so the 256 residue classes spread well).
+    // Ids are dense rarest-first ranks, so the 256 residue classes of
+    // the band signatures spread well.
     let sigs: Vec<BandSignature> = docs.iter().map(|d| BandSignature::build(d)).collect();
 
     let threads = effective_threads(threads).min(n.max(1));
     let locals: Vec<(Vec<ScoredPair>, JoinStats)> = std::thread::scope(|scope| {
-        let (order, lens, docs, postings, sigs) = (&order, &lens, &docs, &postings, &sigs);
+        let (table, docs, sigs, order) = (&table, &docs, &sigs, &order);
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
                     let mut local = Vec::new();
                     let mut stats = JoinStats::default();
-                    let mut scratch = ProbeScratch::new(n);
-                    // Strided ranks balance the skew of long records.
-                    let mut rank = t;
-                    while rank < order.len() {
-                        probe(
-                            dataset,
-                            docs,
-                            order,
-                            lens,
-                            postings,
-                            sigs,
+                    let mut scratch = Scratch::new(n);
+                    for &x in order.iter().skip(t).step_by(threads) {
+                        let pair = |y: u32| {
+                            Pair::new(RecordId(x), RecordId(y)).expect("probe never yields x")
+                        };
+                        let probe = Probe {
+                            doc: docs[x as usize],
+                            sig: &sigs[x as usize],
                             threshold,
-                            rank,
+                            before: Some(x),
+                            docs,
+                            sigs,
+                        };
+                        table.probe(
+                            &probe,
+                            |_| true,
+                            |y| dataset.is_candidate(&pair(y)),
                             &mut scratch,
-                            &mut local,
                             &mut stats,
+                            |y, sim| local.push(ScoredPair::new(pair(y), sim)),
                         );
-                        rank += threads;
                     }
                     (local, stats)
                 })
@@ -269,194 +152,11 @@ pub fn prefix_join_with_stats(
     (out, stats)
 }
 
-/// Per-thread probe scratch: candidate dedup plus the count-filter and
-/// first-hit accumulators of the two-phase probe. `cnt`, `best_i`, and
-/// `best_j` are only valid where `seen` carries the current probe's
-/// stamp (the probing rank), so none of them need clearing between
-/// probes.
-struct ProbeScratch {
-    seen: Vec<u32>,
-    cnt: Vec<u8>,
-    best_i: Vec<u32>,
-    best_j: Vec<u32>,
-    cand: Vec<u32>,
-}
-
-impl ProbeScratch {
-    fn new(n: usize) -> Self {
-        ProbeScratch {
-            seen: vec![u32::MAX; n],
-            cnt: vec![0; n],
-            best_i: vec![0; n],
-            best_j: vec![0; n],
-            cand: Vec::new(),
-        }
-    }
-}
-
-/// Probe one record (by rank) against the index of all shorter-or-equal
-/// records earlier in the order: collect window hits per candidate
-/// (phase 1), then filter + verify the survivors of the count filter
-/// (phase 2).
-#[allow(clippy::too_many_arguments)]
-fn probe(
-    dataset: &Dataset,
-    docs: &[&[u32]],
-    order: &[u32],
-    lens: &[u32],
-    postings: &[Vec<Posting>],
-    sigs: &[BandSignature],
-    threshold: f64,
-    rank: usize,
-    scratch: &mut ProbeScratch,
-    out: &mut Vec<ScoredPair>,
-    stats: &mut JoinStats,
-) {
-    let x = order[rank];
-    let doc = docs[x as usize];
-    if doc.is_empty() {
-        return;
-    }
-    let lx = doc.len();
-    let base = prefix_len(lx, threshold);
-    let min_len_y = min_match_len(lx, threshold);
-
-    // Adaptive count-filter level: extend the probe window one frontier
-    // token at a time while the frontier posting list is cheap relative
-    // to what the window already scans. Capped at ⌈t·lx⌉ (the lemma's
-    // soundness cap — which also keeps the frontier index in bounds:
-    // base + level − 1 < lx whenever level < ⌈t·lx⌉).
-    let level_cap = MAX_PREFIX_EXT.min(min_match_len(lx, threshold));
-    let mut level = 1usize;
-    if level_cap > 1 {
-        let mut scanned: u64 = doc[..base]
-            .iter()
-            .map(|&tok| postings[tok as usize].len() as u64)
-            .sum();
-        while level < level_cap {
-            let frontier = postings[doc[base + level - 1] as usize].len() as u64;
-            if !extend_prefix(scanned, frontier) {
-                break;
-            }
-            scanned += frontier;
-            level += 1;
-        }
-    }
-    let window = (base + level - 1).min(lx);
-    let stamp = rank as u32;
-
-    // Phase 1: count window hits per candidate, keeping the first
-    // (minimal-i) hit — which is the pair's first shared token overall:
-    // tiers grow with position, so any earlier shared token would also
-    // be a counted hit at smaller i and j.
-    scratch.cand.clear();
-    for (i, &tok) in doc[..window].iter().enumerate() {
-        let plist = &postings[tok as usize];
-        // Length filter: lengths ascend along the posting list, so the
-        // too-short candidates form a prefix we can skip wholesale.
-        let start = plist.partition_point(|p| (lens[p.rank as usize] as usize) < min_len_y);
-        // Last-token truncation: from probe position i, candidates
-        // longer than `cut` can never pass the positional filter on a
-        // first hit here, and the cutoff only tightens at later
-        // positions — so at level 1 the length-ascending list is simply
-        // cut short, and at higher levels first contacts past the
-        // cutoff are suppressed (their later hits would be suppressed
-        // too; merges into live candidates still count).
-        let cut = positional_len_cutoff(lx, i, threshold);
-        for p in &plist[start..] {
-            if p.rank as usize >= rank {
-                // Later ranks are probed by their own rounds.
-                break;
-            }
-            if (p.tier as usize) >= level {
-                continue;
-            }
-            let y = order[p.rank as usize] as usize;
-            if scratch.seen[y] == stamp {
-                scratch.cnt[y] = scratch.cnt[y].saturating_add(1);
-                continue;
-            }
-            if lens[p.rank as usize] as usize > cut {
-                if level == 1 {
-                    break;
-                }
-                continue;
-            }
-            scratch.seen[y] = stamp;
-            scratch.cnt[y] = 1;
-            scratch.best_i[y] = i as u32;
-            scratch.best_j[y] = p.pos;
-            scratch.cand.push(y as u32);
-        }
-    }
-
-    // Phase 2: filter + verify the candidates that met the count
-    // requirement. Count-filter failures never surface as candidates:
-    // like the length skip, they are proven dead from index geometry
-    // alone.
-    for &yc in &scratch.cand {
-        let y = yc as usize;
-        if (scratch.cnt[y] as usize) < level {
-            continue;
-        }
-        stats.candidates += 1;
-        let ydoc = docs[y];
-        let ly = ydoc.len();
-        let (i, j) = (scratch.best_i[y] as usize, scratch.best_j[y] as usize);
-        // Positional filter at the pair's first shared token: overlap
-        // so far is exactly 1, and at most min of the remaining tails.
-        let alpha = min_overlap(lx, ly, threshold);
-        let upper = 1 + (lx - i - 1).min(ly - j - 1);
-        if upper < alpha {
-            stats.positional_pruned += 1;
-            continue;
-        }
-        let pair =
-            Pair::new(RecordId(x), RecordId(yc)).expect("distinct ranks imply distinct records");
-        if !dataset.is_candidate(&pair) {
-            stats.space_pruned += 1;
-            continue;
-        }
-        // Band-signature reject: popcount(sig_x ^ sig_y) lower-bounds
-        // |x Δ y|, which a qualifying pair keeps ≤ lx + ly − 2α. The
-        // check self-gates to short records (bound < 256) — cheaper
-        // than the suffix filter's recursive partition, so it runs
-        // first. `upper ≥ alpha` here guarantees `2α ≤ lx + ly`.
-        let sig_budget = lx + ly - 2 * alpha;
-        if sig_budget < 256 && sigs[x as usize].distance_lb(&sigs[y]) > sig_budget {
-            stats.signature_rejected += 1;
-            continue;
-        }
-        // Suffix filter: the suffixes past the first shared token must
-        // contribute the remaining α − 1 overlap, so their Hamming
-        // distance is bounded by |xs| + |ys| − 2(α − 1).
-        let (xs, ys) = (&doc[i + 1..], &ydoc[j + 1..]);
-        if alpha > 1 {
-            let hmax = xs.len() + ys.len() - 2 * (alpha - 1);
-            if suffix_hamming_lb(xs, ys, hmax, SUFFIX_FILTER_DEPTH) > hmax {
-                stats.suffix_pruned += 1;
-                continue;
-            }
-        }
-        // Resume-merge verification: overlap of the records at or
-        // before (i, j) is exactly 1, so only the suffixes remain.
-        stats.verified += 1;
-        let Some(suffix_overlap) = overlap_reaching(xs, ys, alpha.saturating_sub(1)) else {
-            continue;
-        };
-        let o = 1 + suffix_overlap;
-        let sim = o as f64 / (lx + ly - o) as f64;
-        if sim >= threshold {
-            stats.results += 1;
-            out.push(ScoredPair::new(pair, sim));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::allpairs::all_pairs_scored;
+    use crate::filters::suffix_hamming_lb;
     use crowder_types::{PairSpace, SourceId};
     use proptest::prelude::*;
 

@@ -1,271 +1,64 @@
-//! The insert-capable, **sharded** prefix-filter index and the
-//! per-arrival delta join.
+//! The insert-capable prefix-filter index and the per-arrival delta
+//! join: a driver of the shared PPJoin+ kernel in
+//! [`crowder_simjoin::probe`].
 //!
-//! The batch engine (`crowder-simjoin::prefix_join`) probes records in
+//! The batch engine (`crowder_simjoin::prefix_join`) probes records in
 //! ascending length order, so the probing side is always the longer one
-//! and the index can hold the *shortened* PPJoin indexing prefix. A
+//! and the table can hold the *shortened* PPJoin indexing prefix. A
 //! stream has no such luxury: an arriving record may be shorter or
 //! longer than anything indexed. [`DeltaIndex`] therefore indexes each
 //! record's full **probe prefix** (`|y| − ⌈t·|y|⌉ + 1` rarest-ranked
-//! tokens) — the symmetric prefix-filter guarantee: any pair with
-//! Jaccard ≥ t shares a token between its two probe prefixes, whichever
-//! side is longer.
+//! tokens, plus the kernel's tiered frontier tokens) — the symmetric
+//! prefix-filter guarantee: any pair with Jaccard ≥ t shares a token
+//! between its two probe prefixes, whichever side is longer. Each
+//! arrival is probed against everything indexed (the kernel's whole
+//! length window `⌈t·|x|⌉ ≤ |y| ≤ ⌊|x|/t⌋`), then indexed itself.
 //!
-//! ## Shards and the two-phase probe
+//! The index is the kernel's [`PostingTable`] plus the per-record rank
+//! lists, band signatures and tombstones the probe verifies against,
+//! and one [`Scratch`]. Postings are kept in `(len, record)` order, so
+//! the table is a function of the indexed docs alone and a probe's
+//! output — matches, and every funnel bucket — is a pure function of
+//! the live corpus, whatever mutation history (or rebuild, or snapshot
+//! import) populated it. Crash recovery depends on this. Matches come
+//! back in ascending record order.
 //!
-//! Posting lists are partitioned across [`IndexLayout::shards`] shards
-//! by **rank band**: rank `r` lives in shard
-//! `(r / RANK_BAND_WIDTH) % shards`. Striping by narrow bands (not one
-//! contiguous range per shard) balances load — low ranks are the rare,
-//! hot prefix tokens, so a contiguous split would send nearly every
-//! probe to shard 0.
-//!
-//! A probe runs in two phases so its output is a pure function of the
-//! corpus — bit-for-bit invariant under the shard count and the probe
-//! thread count:
-//!
-//! 1. **Hit collection.** Each shard scans the probe prefix for ranks
-//!    it owns and emits raw hits `(y, i, j)` from its posting lists
-//!    (optionally in parallel via `std::thread::scope`). A serial merge
-//!    then keeps, per candidate `y`, the hit with minimal `i` — which
-//!    is exactly the pair's *first* shared prefix token, the hit an
-//!    unsharded scan finds first: both token lists ascend in the same
-//!    global rank order (see `StreamingDict`), so any smaller shared
-//!    token would occupy smaller `i` and `j` in both.
-//! 2. **Filter + verify.** Candidates are sorted by record id and run
-//!    through the positional filter, candidate-space filter, suffix
-//!    filter, and resume-merge verification of the batch engine
-//!    (`crowder_simjoin::filters`), resuming at `(i+1, j+1)` with
-//!    overlap exactly 1 at `(i, j)`. This phase can also be chunked
-//!    across threads: every candidate is independent, and chunk outputs
-//!    concatenate back in id order.
-//!
-//! ## Length-bucketed postings — the binary-searched length skip
-//!
-//! Each rank's postings are **bucketed by record length**: bucket
-//! headers ascend in `len`, and postings within a bucket append in
-//! arrival order, so indexing one prefix token is an O(1) push (no
-//! memmove through the list body). Phase 1 binary-searches the bucket
-//! headers down to the window `⌈t·|x|⌉ ≤ |y| ≤ ⌊|x|/t⌋`, so records
-//! outside it are *never enumerated* — the batch engine's
-//! binary-searched length skip, which the old arrival-ordered flat
-//! lists paid for with a per-candidate comparison. Funnel semantics:
-//! length-skipped records no longer count as `candidates` (they
-//! previously landed in the positional bucket), so the streamed funnel
-//! matches the batch funnel's accounting more closely and the
-//! candidate count on skewed corpora drops.
-//!
-//! Within-bucket order is deliberately *immaterial*: the phase-1 merge
-//! keeps a per-candidate minimum over distinct `i` and phase 2 sorts
-//! the surviving candidate ids, so probe output is a pure function of
-//! the corpus no matter what mutation history (or rebuild) populated
-//! the buckets. Candidate enumeration — and therefore every downstream
-//! order-sensitive structure, e.g. cluster merge sequences — is
-//! reproducible across restarts; crash recovery depends on this.
-//!
-//! ## The adaptive count-filter tier, truncation, and band signatures
-//!
-//! The index stores each record's **extended** probe window
-//! (`extended_prefix_len`), every posting carrying its `tier` — how far
-//! past the base prefix its position sits. A probe picks a per-record
-//! count-filter `level` from the *live* posting mass under its base
-//! prefix (the `PostingList::live` counters — exact, so the estimate is
-//! invariant under shard layout, compaction, tombstone state, and
-//! rebuilds): on hot prefixes it extends the window and demands `level`
-//! shared window tokens per the generalized prefix lemma (see
-//! `crowder_simjoin::filters`). Hits at `tier ≥ level` are skipped, so
-//! a level-1 probe sees exactly the classic prefix index.
-//!
-//! Two more pre-candidate kills ride the same scan, both order- and
-//! layout-insensitive:
-//!
-//! - **Last-token truncation**: from probe position `i`, a first hit on
-//!   a record longer than `positional_len_cutoff(lx, i, t)` can never
-//!   pass the positional filter, and the cutoff only tightens with `i`.
-//!   At level 1 the cutoff clamps the bucket length window per position
-//!   (those postings are never enumerated); at higher levels each hit
-//!   must be counted, so over-cutoff candidates are dropped after the
-//!   merge by `ly > cut(best_i)` — the same pairs, decided from the
-//!   merged minimum instead of enumeration order.
-//! - **Count filter**: after the merge, candidates with fewer than
-//!   `level` window hits are dropped.
-//!
-//! Like the length skip, pairs killed by either never surface as
-//! `candidates` — they are proven dead from index geometry alone.
-//! Survivors then face a 256-bit **band-signature** check
-//! (`BandSignature`, XOR + popcount lower bound on the symmetric
-//! difference) between positional/space filtering and the suffix
-//! filter, tallied as `signature_rejected`.
+//! Deletion is a **tombstone**: the dead record's postings stay in
+//! place but every probe skips them, while the table's live counts
+//! (the adaptive level choice's estimate) drop at once, so probes stay
+//! bit-identical to a compacted index. The next epoch
+//! [`DeltaIndex::rebuild`] (or [`DeltaIndex::compact`]) sweeps them.
 //!
 //! Degenerate thresholds mirror the batch engine so the cumulative
 //! output stays bit-identical: `threshold ≤ 0` compares the arrival
 //! against every indexed candidate exhaustively (no filter can help at
 //! a zero threshold), and `threshold > 1` yields nothing.
 
-use crowder_simjoin::filters::{
-    extend_prefix, extended_prefix_len, max_match_len, min_match_len, min_overlap,
-    overlap_reaching, positional_len_cutoff, posting_tier, prefix_len, suffix_hamming_lb,
-    BandSignature, MAX_PREFIX_EXT, SUFFIX_FILTER_DEPTH,
-};
-use crowder_simjoin::JoinStats;
+use crowder_simjoin::filters::{prefix_len, BandSignature};
+use crowder_simjoin::probe::{PostingTable, Probe, Scratch};
+use crowder_simjoin::{publish_funnel, JoinStats};
 use crowder_text::jaccard_ids;
 use crowder_types::{Dataset, Error, Pair, RecordId, ScoredPair};
-use std::collections::HashMap;
 
 use crate::dict::StreamingDict;
 
-/// Width of one rank band (see module docs): ranks are striped across
-/// shards in blocks of this many consecutive ranks, so the rare/hot low
-/// ranks spread over every shard.
-pub const RANK_BAND_WIDTH: u32 = 64;
+/// The delta index's layout. It has a single value: the index is one
+/// posting table probed on the calling thread. The type remains only so
+/// existing configurations that forward a layout keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexLayout;
 
-/// Shape of the sharded index and its probes. Both knobs are clamped to
-/// at least 1; the default (1 shard, 1 thread) is the classic serial
-/// index.
-///
-/// Probe *results and funnel stats* are bit-for-bit invariant under
-/// both knobs (property-tested in `tests/exactness.rs`); they tune only
-/// where the work happens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexLayout {
-    /// Posting-list shards (rank-band striped).
-    pub shards: usize,
-    /// Threads a single probe may use, for both phases. `1` keeps the
-    /// probe on the calling thread.
-    pub probe_threads: usize,
-}
-
-impl Default for IndexLayout {
-    fn default() -> Self {
-        IndexLayout {
-            shards: 1,
-            probe_threads: 1,
-        }
-    }
-}
-
-impl IndexLayout {
-    fn normalized(self) -> IndexLayout {
-        IndexLayout {
-            shards: self.shards.max(1),
-            probe_threads: self.probe_threads.max(1),
-        }
-    }
-}
-
-/// Which shard owns a rank's posting list.
-#[inline]
-fn shard_of(rank: u32, nshards: usize) -> usize {
-    ((rank / RANK_BAND_WIDTH) as usize) % nshards
-}
-
-/// Publish the funnel increment of one probe into the shared
-/// `simjoin.funnel.*` counters (the batch join publishes the same keys,
-/// so one export shows the whole machine pass as a single funnel).
-fn publish_probe_delta(before: &JoinStats, after: &JoinStats) {
-    crowder_simjoin::publish_funnel(&JoinStats {
-        candidates: after.candidates - before.candidates,
-        positional_pruned: after.positional_pruned - before.positional_pruned,
-        space_pruned: after.space_pruned - before.space_pruned,
-        signature_rejected: after.signature_rejected - before.signature_rejected,
-        suffix_pruned: after.suffix_pruned - before.suffix_pruned,
-        verified: after.verified - before.verified,
-        results: after.results - before.results,
-    });
-}
-
-/// One index entry: the record holding the token and the token's
-/// position in that record's rank-sorted list. The record's length —
-/// the binary-search key of the length skip — lives one level up, in
-/// the bucket header.
-#[derive(Debug, Clone, Copy)]
-struct Posting {
-    record: u32,
-    pos: u32,
-    /// Extension tier of `pos` past the record's base probe prefix
-    /// (`posting_tier`): 0 for base-prefix postings, `k` for the k-th
-    /// extension token. A probe at count-filter level `l` only admits
-    /// `tier < l`, so a level-1 probe sees exactly the classic index.
-    tier: u8,
-}
-
-/// One rank's postings, bucketed by record length: buckets ascend in
-/// `len`, postings within a bucket are appended in arrival order (O(1)
-/// per insert — no memmove through the list body, which is what keeps
-/// the per-arrival indexing cost flat). The length window of a probe
-/// binary-searches the bucket headers, never the postings.
-///
-/// Within-bucket order is **immaterial** to every observable: phase 1
-/// merges hits to a per-candidate minimum over distinct `i` and phase 2
-/// sorts the candidate ids, so a rebuilt index (buckets repopulated in
-/// record order) enumerates differently but resolves identically.
-#[derive(Debug, Clone, Default)]
-struct PostingList {
-    buckets: Vec<(u32, Vec<Posting>)>,
-    /// Exact number of **live** (non-tombstoned) postings in the list —
-    /// the adaptive-prefix selectivity estimate. Maintained at every
-    /// push, strip, and tombstone, so it is invariant under shard
-    /// layout, compaction, and rebuilds: probes pick the same
-    /// count-filter level no matter what mutation history populated the
-    /// index, which is what keeps probe output a pure function of the
-    /// corpus.
-    live: u32,
-}
-
-impl PostingList {
-    /// Append a posting to the `len` bucket, creating it at its sorted
-    /// position if absent. The bucket-header vec is short (distinct
-    /// record lengths under one rank), so the occasional header insert
-    /// is cheap.
-    fn push(&mut self, len: u32, posting: Posting) {
-        self.live += 1;
-        match self.buckets.binary_search_by_key(&len, |b| b.0) {
-            Ok(at) => self.buckets[at].1.push(posting),
-            Err(at) => self.buckets.insert(at, (len, vec![posting])),
-        }
-    }
-
-    /// Drop `record`'s posting from the `len` bucket (the in-place
-    /// update path strips a record's stale prefix).
-    fn remove(&mut self, len: u32, record: u32) {
-        if let Ok(at) = self.buckets.binary_search_by_key(&len, |b| b.0) {
-            let before = self.buckets[at].1.len();
-            self.buckets[at].1.retain(|p| p.record != record);
-            self.live -= (before - self.buckets[at].1.len()) as u32;
-            if self.buckets[at].1.is_empty() {
-                self.buckets.remove(at);
-            }
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-}
-
-/// A raw phase-1 hit: candidate `y` was found via the probe's prefix
-/// position `i`, sitting at position `j` of `y`'s prefix.
-#[derive(Debug, Clone, Copy)]
-struct Hit {
-    y: u32,
-    i: u32,
-    j: u32,
-}
-
-/// Mutable sharded prefix-filter index over an appendable corpus, with
+/// Mutable prefix-filter index over an appendable corpus, with
 /// tombstoned deletion: a removed record's postings stay in place but
 /// are skipped by every probe, and the next epoch rebuild drops them
-/// for good — deletion is O(1), the cleanup amortized into the rebuild
-/// the resolver already schedules.
+/// for good — deletion is O(window), the cleanup amortized into the
+/// rebuild the resolver already schedules.
 #[derive(Debug, Clone)]
 pub struct DeltaIndex {
     threshold: f64,
-    layout: IndexLayout,
-    /// Per-shard `rank → length-bucketed postings`. Keyed by *rank*
-    /// (the join's sort key), which is stable between dictionary
-    /// epochs; `rebuild` re-keys everything. Shard membership is
-    /// `shard_of`.
-    shards: Vec<HashMap<u32, PostingList>>,
+    /// Rank → postings. Keyed by *rank* (the join's sort key), which is
+    /// stable between dictionary epochs; `rebuild` re-keys everything.
+    table: PostingTable,
     /// Per-record token lists, as ranks sorted ascending.
     docs: Vec<Vec<u32>>,
     /// Per-record 256-bit band signatures over the rank lists —
@@ -273,72 +66,39 @@ pub struct DeltaIndex {
     /// ranks shift between dictionary epochs, so signatures are
     /// epoch-local just like the docs they summarize.
     sigs: Vec<BandSignature>,
-    /// Per-probe candidate dedup: the probe stamp that last reached
-    /// each indexed record. A fresh stamp per probe (not the probing
-    /// record's id) lets the same record probe twice — the in-place
-    /// update path re-probes under an id that has probed before.
-    seen: Vec<u64>,
-    /// Monotone probe counter backing `seen`.
-    stamp: u64,
-    /// Per-record minimal hit position of the current probe (valid
-    /// where `seen == stamp`).
-    best_i: Vec<u32>,
-    best_j: Vec<u32>,
-    /// Per-record window-hit count of the current probe (valid where
-    /// `seen == stamp`) — the count-filter tally.
-    cnt: Vec<u8>,
-    /// Scratch: candidate ids of the current probe.
-    cand: Vec<u32>,
-    /// Scratch: per-probe-position length cutoffs of the last-token
-    /// truncation (`positional_len_cutoff`), one per window position.
-    cuts: Vec<u32>,
-    /// Scratch: phase-2 matches `(y, sim)` of the current probe.
-    found: Vec<(u32, f64)>,
     /// Tombstones: `false` for deleted records (slots are never
     /// reused — record ids stay dense in arrival order).
     alive: Vec<bool>,
     /// Live (non-tombstoned) record count.
     live: usize,
+    /// Probe accumulators, sized to `docs`.
+    scratch: Scratch,
+    /// Scratch: matches `(y, sim)` of the current probe.
+    found: Vec<(u32, f64)>,
 }
 
 impl DeltaIndex {
-    /// An empty serial index (1 shard) joining at `threshold`.
+    /// An empty index joining at `threshold`.
     pub fn new(threshold: f64) -> Self {
-        Self::with_layout(threshold, IndexLayout::default())
-    }
-
-    /// An empty index joining at `threshold` with the given shard and
-    /// probe-thread layout.
-    pub fn with_layout(threshold: f64, layout: IndexLayout) -> Self {
-        let layout = layout.normalized();
         DeltaIndex {
             threshold,
-            layout,
-            shards: vec![HashMap::new(); layout.shards],
+            table: PostingTable::default(),
             docs: Vec::new(),
             sigs: Vec::new(),
-            seen: Vec::new(),
-            stamp: 0,
-            best_i: Vec::new(),
-            best_j: Vec::new(),
-            cnt: Vec::new(),
-            cand: Vec::new(),
-            cuts: Vec::new(),
-            found: Vec::new(),
             alive: Vec::new(),
             live: 0,
+            scratch: Scratch::default(),
+            found: Vec::new(),
         }
     }
 
     /// Rebuild an index from exported per-record rank lists (empty for
     /// tombstoned records) plus liveness flags — the snapshot-import
-    /// constructor. Posting lists come out in canonical `(len, record)`
-    /// order, the order every other mutation maintains (see the module
-    /// docs), so a recovered index enumerates candidates exactly like
-    /// the index it was exported from.
+    /// constructor. The table comes out identical to the one the
+    /// exporting index held after a compaction, so a recovered index
+    /// probes exactly like the index it was exported from.
     pub fn from_docs(
         threshold: f64,
-        layout: IndexLayout,
         docs: Vec<Vec<u32>>,
         alive: Vec<bool>,
     ) -> crowder_types::Result<Self> {
@@ -349,51 +109,15 @@ impl DeltaIndex {
                 alive.len()
             )));
         }
-        let layout = layout.normalized();
-        let live = alive.iter().filter(|&&a| a).count();
-        let n = docs.len();
-        let sigs = docs.iter().map(|d| BandSignature::build(d)).collect();
         let mut index = DeltaIndex {
-            threshold,
-            layout,
-            shards: vec![HashMap::new(); layout.shards],
-            seen: vec![0; n],
-            stamp: 0,
-            best_i: vec![0; n],
-            best_j: vec![0; n],
-            cnt: vec![0; n],
-            cand: Vec::new(),
-            cuts: Vec::new(),
-            found: Vec::new(),
+            live: alive.iter().filter(|&&a| a).count(),
+            scratch: Scratch::new(docs.len()),
+            sigs: docs.iter().map(|d| BandSignature::build(d)).collect(),
             docs,
-            sigs,
             alive,
-            live,
+            ..DeltaIndex::new(threshold)
         };
-        if threshold > 0.0 && threshold <= 1.0 {
-            for r in 0..index.docs.len() {
-                if !index.alive[r] || index.docs[r].is_empty() {
-                    continue;
-                }
-                let doc = &index.docs[r];
-                let len = doc.len() as u32;
-                let plen = prefix_len(doc.len(), threshold);
-                let window = extended_prefix_len(plen, doc.len());
-                for (pos, &rank) in doc[..window].iter().enumerate() {
-                    index.shards[shard_of(rank, layout.shards)]
-                        .entry(rank)
-                        .or_default()
-                        .push(
-                            len,
-                            Posting {
-                                record: r as u32,
-                                pos: pos as u32,
-                                tier: posting_tier(pos, plen),
-                            },
-                        );
-                }
-            }
-        }
+        index.index_all();
         Ok(index)
     }
 
@@ -422,32 +146,25 @@ impl DeltaIndex {
         self.alive[record.index()]
     }
 
-    /// The shard/thread layout the index was built with.
+    /// Does the threshold run the filtered probe (and so index postings)?
     #[inline]
-    pub fn layout(&self) -> IndexLayout {
-        self.layout
+    fn filtered(&self) -> bool {
+        self.threshold > 0.0 && self.threshold <= 1.0
     }
 
     /// Tombstone one record: every future probe skips it. Its postings
     /// are garbage until the next [`DeltaIndex::rebuild`] sweeps them,
-    /// but the live-posting estimator counters are settled right here —
-    /// an O(window) walk — so the adaptive prefix level never sees
-    /// tombstone mass (probes stay bit-identical to a compacted index).
-    /// Idempotent.
+    /// but the table's live counts are settled right here — an
+    /// O(window) walk — so the adaptive prefix level never sees
+    /// tombstone mass. Idempotent.
     pub fn remove(&mut self, record: RecordId) {
         let slot = record.index();
         if std::mem::replace(&mut self.alive[slot], false) {
             self.live -= 1;
-            let t = self.threshold;
-            if t > 0.0 && t <= 1.0 && !self.docs[slot].is_empty() {
-                let doc = &self.docs[slot];
-                let window = extended_prefix_len(prefix_len(doc.len(), t), doc.len());
-                let nshards = self.shards.len();
-                for &rank in &doc[..window] {
-                    if let Some(list) = self.shards[shard_of(rank, nshards)].get_mut(&rank) {
-                        list.live -= 1;
-                    }
-                }
+            let doc = &self.docs[slot];
+            if self.filtered() && !doc.is_empty() {
+                self.table
+                    .retire(doc, prefix_len(doc.len(), self.threshold));
             }
         }
     }
@@ -456,21 +173,11 @@ impl DeltaIndex {
     /// of waiting for the next epoch [`DeltaIndex::rebuild`] — called
     /// after a snapshot load so a recovered index starts dense, and
     /// available on demand for long quiet periods between epochs.
-    /// Surviving postings keep their buckets and relative order, so
-    /// probe results are bit-identical before and after.
+    /// Probe results are bit-identical before and after.
     pub fn compact(&mut self) {
-        let alive = &self.alive;
-        for shard in &mut self.shards {
-            shard.retain(|_, list| {
-                list.buckets.retain_mut(|(_, bucket)| {
-                    bucket.retain(|p| alive[p.record as usize]);
-                    !bucket.is_empty()
-                });
-                !list.is_empty()
-            });
-        }
+        self.table.sweep(&self.alive);
         for (r, doc) in self.docs.iter_mut().enumerate() {
-            if !alive[r] && !doc.is_empty() {
+            if !self.alive[r] && !doc.is_empty() {
                 doc.clear();
                 doc.shrink_to_fit();
                 self.sigs[r] = BandSignature::default();
@@ -505,42 +212,14 @@ impl DeltaIndex {
         stats: &mut JoinStats,
     ) {
         let _timer = crowder_obs::span_light!("stream.delta.probe_ns");
-        let before = *stats;
-        self.join_and_insert_impl(dataset, doc, out, stats);
-        publish_probe_delta(&before, stats);
-    }
-
-    fn join_and_insert_impl(
-        &mut self,
-        dataset: &Dataset,
-        doc: Vec<u32>,
-        out: &mut Vec<ScoredPair>,
-        stats: &mut JoinStats,
-    ) {
-        let x = self.docs.len() as u32;
         debug_assert_eq!(dataset.len(), self.docs.len() + 1, "push record first");
-        if self.threshold > 1.0 {
-            // Jaccard never exceeds 1: nothing to join, nothing worth
-            // indexing.
-            self.push_slot(doc);
-            return;
-        }
-        let space_ok =
-            |y: u32| dataset.is_candidate(&Pair::new(RecordId(x), RecordId(y)).expect("y != x"));
-        let mut found = std::mem::take(&mut self.found);
-        found.clear();
-        if self.threshold <= 0.0 {
-            self.exhaustive_probe(Some(x), &doc, &space_ok, &mut found, stats);
-        } else {
-            self.filtered_probe(&doc, &space_ok, &mut found, stats);
-            self.index_prefix(x, &doc);
-        }
-        for &(y, sim) in &found {
-            let pair = Pair::new(RecordId(x), RecordId(y)).expect("probe never yields x");
-            out.push(ScoredPair::new(pair, sim));
-        }
-        self.found = found;
-        self.push_slot(doc);
+        let x = RecordId(self.docs.len() as u32);
+        self.sigs.push(BandSignature::build(&doc));
+        self.docs.push(doc);
+        self.alive.push(true);
+        self.live += 1;
+        self.scratch.resize(self.docs.len());
+        self.join_and_index(dataset, x, out, stats);
     }
 
     /// Probe a record that is **not** part of the corpus — the
@@ -555,7 +234,7 @@ impl DeltaIndex {
     /// tallied into `stats` but *not* published to the shared
     /// `simjoin.funnel.*` counters: queries are not part of the machine
     /// pass.
-    pub fn probe_query<F: Fn(u32) -> bool + Sync>(
+    pub fn probe_query<F: Fn(u32) -> bool>(
         &mut self,
         doc: &[u32],
         space_ok: F,
@@ -563,27 +242,16 @@ impl DeltaIndex {
         stats: &mut JoinStats,
     ) {
         let _timer = crowder_obs::span_light!("stream.delta.query_probe_ns");
-        if self.threshold > 1.0 {
-            return;
-        }
-        let mut found = std::mem::take(&mut self.found);
-        found.clear();
-        if self.threshold <= 0.0 {
-            self.exhaustive_probe(None, doc, &space_ok, &mut found, stats);
-        } else {
-            self.filtered_probe(doc, &space_ok, &mut found, stats);
-        }
-        out.extend(found.iter().map(|&(y, sim)| (RecordId(y), sim)));
-        self.found = found;
+        self.probe(doc, None, space_ok, stats);
+        out.extend(self.found.iter().map(|&(y, sim)| (RecordId(y), sim)));
     }
 
     /// Replace the token list of an existing *live* record in place —
     /// the index half of an atomic correction. The record's stale
-    /// prefix postings are stripped first (it must not match its own
-    /// old tokens), the new doc is probed against every other live
-    /// record exactly like an arrival (same funnel buckets, appended to
-    /// `out`), and its new prefix is re-indexed at the canonical sorted
-    /// positions.
+    /// postings are stripped first (it must not match its own old
+    /// tokens), the new doc is probed against every other live record
+    /// exactly like an arrival (same funnel buckets, appended to `out`),
+    /// and its new prefix is indexed.
     pub fn update_doc(
         &mut self,
         dataset: &Dataset,
@@ -593,494 +261,148 @@ impl DeltaIndex {
         stats: &mut JoinStats,
     ) {
         let _timer = crowder_obs::span_light!("stream.delta.update_probe_ns");
-        let before = *stats;
-        self.update_doc_impl(dataset, record, doc, out, stats);
-        publish_probe_delta(&before, stats);
+        let slot = record.index();
+        debug_assert!(self.alive[slot], "update of a tombstoned record");
+        let old = &self.docs[slot];
+        if self.filtered() && !old.is_empty() {
+            self.table
+                .strip(record.0, old, prefix_len(old.len(), self.threshold));
+        }
+        self.sigs[slot] = BandSignature::build(&doc);
+        self.docs[slot] = doc;
+        self.join_and_index(dataset, record, out, stats);
     }
 
-    fn update_doc_impl(
+    /// Probe the stored doc of live record `x` against every other live
+    /// record, append its pairs to `out`, then index it. `x` is kept
+    /// out of its own probe: its postings are not in the table yet, and
+    /// the exhaustive path skips it by id.
+    fn join_and_index(
         &mut self,
         dataset: &Dataset,
-        record: RecordId,
-        doc: Vec<u32>,
+        x: RecordId,
         out: &mut Vec<ScoredPair>,
         stats: &mut JoinStats,
     ) {
-        let slot = record.index();
-        debug_assert!(self.alive[slot], "update of a tombstoned record");
-        let r = record.0;
-        let t = self.threshold;
-        if t > 0.0 && t <= 1.0 && !self.docs[slot].is_empty() {
-            let old_len = self.docs[slot].len() as u32;
-            let window =
-                extended_prefix_len(prefix_len(self.docs[slot].len(), t), self.docs[slot].len());
-            let old_prefix: Vec<u32> = self.docs[slot][..window].to_vec();
-            let nshards = self.shards.len();
-            for rank in old_prefix {
-                let shard = &mut self.shards[shard_of(rank, nshards)];
-                if let Some(list) = shard.get_mut(&rank) {
-                    list.remove(old_len, r);
-                    if list.is_empty() {
-                        shard.remove(&rank);
-                    }
-                }
-            }
-        }
-        if t > 1.0 {
-            self.sigs[slot] = BandSignature::build(&doc);
-            self.docs[slot] = doc;
-            return;
-        }
-        let space_ok =
-            |y: u32| dataset.is_candidate(&Pair::new(record, RecordId(y)).expect("y != record"));
-        let mut found = std::mem::take(&mut self.found);
-        found.clear();
-        if t <= 0.0 {
-            self.exhaustive_probe(Some(r), &doc, &space_ok, &mut found, stats);
-        } else {
-            self.filtered_probe(&doc, &space_ok, &mut found, stats);
-            self.index_prefix(r, &doc);
-        }
-        for &(y, sim) in &found {
-            let pair = Pair::new(record, RecordId(y)).expect("probe never yields the record");
-            out.push(ScoredPair::new(pair, sim));
-        }
-        self.found = found;
-        self.sigs[slot] = BandSignature::build(&doc);
-        self.docs[slot] = doc;
+        let pair = |y: u32| Pair::new(x, RecordId(y)).expect("probe never yields x");
+        // Lent out of `docs` for the probe, which borrows the index.
+        let doc = std::mem::take(&mut self.docs[x.index()]);
+        let mut local = JoinStats::default();
+        self.probe(
+            &doc,
+            Some(x.0),
+            |y| dataset.is_candidate(&pair(y)),
+            &mut local,
+        );
+        self.docs[x.index()] = doc;
+        out.extend(
+            self.found
+                .iter()
+                .map(|&(y, sim)| ScoredPair::new(pair(y), sim)),
+        );
+        self.index_prefix(x.0);
+        publish_funnel(&local);
+        stats.absorb(&local);
     }
 
-    fn push_slot(&mut self, doc: Vec<u32>) {
-        self.sigs.push(BandSignature::build(&doc));
-        self.docs.push(doc);
-        self.seen.push(0);
-        self.best_i.push(0);
-        self.best_j.push(0);
-        self.cnt.push(0);
-        self.alive.push(true);
-        self.live += 1;
-    }
-
-    /// Index `record`'s **extended** probe window into its shards'
-    /// length buckets — an O(1) append per token (plus a binary search
-    /// over the short bucket-header vec). Postings past the base prefix
-    /// carry their extension tier so level-1 probes skip them.
-    fn index_prefix(&mut self, record: u32, doc: &[u32]) {
-        if doc.is_empty() {
-            return;
-        }
-        let len = doc.len() as u32;
-        let plen = prefix_len(doc.len(), self.threshold);
-        let window = extended_prefix_len(plen, doc.len());
-        let nshards = self.shards.len();
-        for (pos, &rank) in doc[..window].iter().enumerate() {
-            self.shards[shard_of(rank, nshards)]
-                .entry(rank)
-                .or_default()
-                .push(
-                    len,
-                    Posting {
-                        record,
-                        pos: pos as u32,
-                        tier: posting_tier(pos, plen),
-                    },
-                );
-        }
-    }
-
-    /// The `threshold ≤ 0` degradation: every candidate pair is scored
-    /// (mirrors the batch fallback to `all_pairs_scored` — a zero
-    /// threshold keeps everything, so no filter can help). `skip` is
-    /// the probing record's own id, if it has one.
-    fn exhaustive_probe<F: Fn(u32) -> bool>(
-        &self,
-        skip: Option<u32>,
-        doc: &[u32],
-        space_ok: &F,
-        found: &mut Vec<(u32, f64)>,
-        stats: &mut JoinStats,
-    ) {
-        for y in 0..self.docs.len() as u32 {
-            if Some(y) == skip || !self.alive[y as usize] {
-                continue;
-            }
-            if !space_ok(y) {
-                continue;
-            }
-            stats.candidates += 1;
-            stats.verified += 1;
-            let sim = jaccard_ids(doc, &self.docs[y as usize]);
-            if sim >= self.threshold {
-                stats.results += 1;
-                found.push((y, sim));
-            }
-        }
-    }
-
-    /// The full two-phase pipeline for `0 < threshold ≤ 1` (see the
-    /// module docs). Matches are appended to `found` in ascending
-    /// record order.
-    fn filtered_probe<F: Fn(u32) -> bool + Sync>(
+    /// Run one probe of `doc` into `self.found`, in ascending record
+    /// order. `skip` is the probing record's own id, if it has one.
+    fn probe(
         &mut self,
         doc: &[u32],
-        space_ok: &F,
-        found: &mut Vec<(u32, f64)>,
+        skip: Option<u32>,
+        space_ok: impl Fn(u32) -> bool,
         stats: &mut JoinStats,
     ) {
-        if doc.is_empty() {
-            return; // Jaccard with an empty set is 0 < threshold.
-        }
-        let t = self.threshold;
-        let lx = doc.len();
-        let plen = prefix_len(lx, t);
-        let (min_ly, max_ly) = (min_match_len(lx, t), max_match_len(lx, t));
-
-        // Adaptive count-filter level from the live posting mass under
-        // the base prefix (see module docs): extend the window one
-        // frontier token at a time while the frontier list is cheap
-        // relative to what the window already scans. The cap ⌈t·lx⌉ is
-        // the lemma's soundness bound and keeps the frontier index in
-        // range (plen + level − 1 < lx whenever level < ⌈t·lx⌉).
-        let nshards = self.shards.len();
-        let live_of = |shards: &[HashMap<u32, PostingList>], rank: u32| -> u64 {
-            shards[shard_of(rank, nshards)]
-                .get(&rank)
-                .map_or(0, |l| l.live as u64)
-        };
-        let level_cap = MAX_PREFIX_EXT.min(min_match_len(lx, t));
-        let mut level = 1usize;
-        if level_cap > 1 {
-            let mut scanned: u64 = doc[..plen].iter().map(|&r| live_of(&self.shards, r)).sum();
-            while level < level_cap {
-                let frontier = live_of(&self.shards, doc[plen + level - 1]);
-                if !extend_prefix(scanned, frontier) {
-                    break;
-                }
-                scanned += frontier;
-                level += 1;
-            }
-        }
-        let window = (plen + level - 1).min(lx);
-        // Last-token truncation cutoffs, one per window position.
-        self.cuts.clear();
-        self.cuts.extend(
-            (0..window).map(|i| positional_len_cutoff(lx, i, t).min(u32::MAX as usize) as u32),
-        );
-        let sig_x = BandSignature::build(doc);
-        self.stamp += 1;
-        let stamp = self.stamp;
-
-        // Phase 1: collect the minimal-(i, j) hit per candidate and the
-        // per-candidate window-hit count.
         let Self {
-            ref shards,
+            threshold,
+            ref table,
             ref docs,
             ref sigs,
             ref alive,
-            ref cuts,
-            ref mut seen,
-            ref mut best_i,
-            ref mut best_j,
-            ref mut cnt,
-            ref mut cand,
+            ref mut scratch,
+            ref mut found,
             ..
         } = *self;
-        let prefix = &doc[..window];
-        cand.clear();
-        let threads = self.layout.probe_threads.min(nshards);
-        let mut merge = |h: Hit| {
-            let yi = h.y as usize;
-            if seen[yi] != stamp {
-                seen[yi] = stamp;
-                best_i[yi] = h.i;
-                best_j[yi] = h.j;
-                cnt[yi] = 1;
-                cand.push(h.y);
-            } else {
-                cnt[yi] = cnt[yi].saturating_add(1);
-                if h.i < best_i[yi] {
-                    best_i[yi] = h.i;
-                    best_j[yi] = h.j;
+        found.clear();
+        if threshold > 1.0 {
+            // Jaccard never exceeds 1: nothing can match.
+        } else if threshold <= 0.0 {
+            // Every candidate pair is scored, like the batch fallback to
+            // `all_pairs_scored`: a zero threshold keeps everything, so
+            // no filter can help.
+            for y in 0..docs.len() as u32 {
+                if Some(y) == skip || !alive[y as usize] || !space_ok(y) {
+                    continue;
                 }
-            }
-        };
-        if threads > 1 {
-            // Each thread scans a stripe of shards into its own buffer;
-            // the merge is serial and order-insensitive (minimum over
-            // distinct `i`), so buffer order does not matter.
-            let buffers = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|k| {
-                        scope.spawn(move || {
-                            let mut hits = Vec::new();
-                            for s in (k..nshards).step_by(threads) {
-                                collect_shard_hits(
-                                    &shards[s],
-                                    s,
-                                    nshards,
-                                    prefix,
-                                    min_ly,
-                                    max_ly,
-                                    level,
-                                    cuts,
-                                    alive,
-                                    &mut |h| hits.push(h),
-                                );
-                            }
-                            hits
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("probe worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for hits in &buffers {
-                for &h in hits {
-                    merge(h);
+                stats.candidates += 1;
+                stats.verified += 1;
+                let sim = jaccard_ids(doc, &docs[y as usize]);
+                if sim >= threshold {
+                    stats.results += 1;
+                    found.push((y, sim));
                 }
             }
         } else {
-            // Serial: feed hits straight into the merge — no buffer, no
-            // allocation. Identical output: the merge is a minimum over
-            // distinct `i`, insensitive to feed order.
-            for (s, shard) in shards.iter().enumerate() {
-                collect_shard_hits(
-                    shard, s, nshards, prefix, min_ly, max_ly, level, cuts, alive, &mut merge,
-                );
-            }
-        }
-        // Ascending record order: the canonical, shard-independent
-        // enumeration order.
-        cand.sort_unstable();
-
-        // Phase 2: filter + verify each candidate independently.
-        if threads > 1 && cand.len() >= 2 * threads {
-            let chunk = cand.len().div_ceil(threads);
-            let parts = std::thread::scope(|scope| {
-                let handles: Vec<_> = cand
-                    .chunks(chunk)
-                    .map(|part| {
-                        let (best_i, best_j, cnt) = (&*best_i, &*best_j, &*cnt);
-                        let sig_x = &sig_x;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            let mut local = JoinStats::default();
-                            verify_candidates(
-                                t, level, doc, sig_x, docs, sigs, best_i, best_j, cnt, cuts, part,
-                                space_ok, &mut out, &mut local,
-                            );
-                            (out, local)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("verify worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            for (out, local) in parts {
-                found.extend(out);
-                stats.absorb(&local);
-            }
-        } else {
-            verify_candidates(
-                t, level, doc, &sig_x, docs, sigs, best_i, best_j, cnt, cuts, cand, space_ok,
-                found, stats,
+            let probe = Probe {
+                doc,
+                sig: &BandSignature::build(doc),
+                threshold,
+                before: None,
+                docs,
+                sigs,
+            };
+            table.probe(
+                &probe,
+                |y| alive[y as usize],
+                space_ok,
+                scratch,
+                stats,
+                |y, sim| found.push((y, sim)),
             );
+            found.sort_unstable_by_key(|&(y, _)| y);
+        }
+    }
+
+    /// Index every live record, in `(len, id)` order so that every
+    /// posting appends at the end of its list.
+    fn index_all(&mut self) {
+        let mut order: Vec<u32> = (0..self.docs.len() as u32)
+            .filter(|&r| self.alive[r as usize])
+            .collect();
+        order.sort_unstable_by_key(|&r| (self.docs[r as usize].len(), r));
+        for r in order {
+            self.index_prefix(r);
+        }
+    }
+
+    /// Index live record `r`'s stored doc (its extended probe window).
+    fn index_prefix(&mut self, r: u32) {
+        let doc = &self.docs[r as usize];
+        if self.filtered() && !doc.is_empty() {
+            self.table
+                .insert(r, doc, prefix_len(doc.len(), self.threshold));
         }
     }
 
     /// Re-encode every record against the dictionary's current ranks and
     /// rebuild the postings — the epoch step after
     /// [`StreamingDict::rerank`]. `token_ids[r]` is record `r`'s stable
-    /// token ids.
+    /// token ids. Tombstoned records lose their doc, signature and
+    /// postings for good.
     pub fn rebuild(&mut self, dict: &StreamingDict, token_ids: &[Vec<u32>]) {
         debug_assert_eq!(token_ids.len(), self.docs.len());
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-        let nshards = self.shards.len();
         for (r, ids) in token_ids.iter().enumerate() {
             let doc = &mut self.docs[r];
             doc.clear();
-            if !self.alive[r] {
-                // Tombstone sweep: a deleted record keeps its slot but
-                // loses its doc, signature, and postings for good.
-                self.sigs[r] = BandSignature::default();
-                continue;
+            if self.alive[r] {
+                doc.extend(ids.iter().map(|&id| dict.rank(id)));
+                doc.sort_unstable();
             }
-            doc.extend(ids.iter().map(|&id| dict.rank(id)));
-            doc.sort_unstable();
-            // Ranks shifted with the epoch, so the signature is rebuilt
-            // from the fresh rank list.
             self.sigs[r] = BandSignature::build(doc);
-            if self.threshold > 0.0 && self.threshold <= 1.0 && !doc.is_empty() {
-                let len = doc.len() as u32;
-                let plen = prefix_len(doc.len(), self.threshold);
-                let window = extended_prefix_len(plen, doc.len());
-                for (pos, &rank) in doc[..window].iter().enumerate() {
-                    self.shards[shard_of(rank, nshards)]
-                        .entry(rank)
-                        .or_default()
-                        .push(
-                            len,
-                            Posting {
-                                record: r as u32,
-                                pos: pos as u32,
-                                tier: posting_tier(pos, plen),
-                            },
-                        );
-                }
-            }
         }
-    }
-}
-
-/// Phase 1 for one shard: scan the probe window for ranks this shard
-/// owns and feed every live, tier-admissible posting inside the
-/// binary-searched length window to `sink` (a buffer push on parallel
-/// probes, the merge itself on serial ones).
-///
-/// At level 1 the length window's upper edge is additionally clamped by
-/// the truncation cutoff of the probe position (`cuts[i]`): a first hit
-/// past it can never survive the positional filter, and level 1 needs
-/// no hit counts, so those postings are never enumerated at all. Higher
-/// levels must count every window hit (merges into candidates that
-/// registered below the cutoff), so the cutoff is applied after the
-/// merge instead — same pairs, decided order-insensitively.
-#[allow(clippy::too_many_arguments)]
-fn collect_shard_hits(
-    shard: &HashMap<u32, PostingList>,
-    shard_id: usize,
-    nshards: usize,
-    prefix: &[u32],
-    min_ly: usize,
-    max_ly: usize,
-    level: usize,
-    cuts: &[u32],
-    alive: &[bool],
-    sink: &mut impl FnMut(Hit),
-) {
-    for (i, &rank) in prefix.iter().enumerate() {
-        if shard_of(rank, nshards) != shard_id {
-            continue;
-        }
-        let Some(list) = shard.get(&rank) else {
-            continue;
-        };
-        let hi_len = if level == 1 {
-            max_ly.min(cuts[i] as usize)
-        } else {
-            max_ly
-        };
-        // The binary-searched length skip: bucket headers ascend in
-        // `len`, so the admissible lengths form one contiguous window
-        // of buckets — out-of-window postings are never enumerated.
-        let lo = list.buckets.partition_point(|b| (b.0 as usize) < min_ly);
-        let hi = list.buckets.partition_point(|b| (b.0 as usize) <= hi_len);
-        for (_, bucket) in &list.buckets[lo..hi.max(lo)] {
-            for p in bucket {
-                // Tombstoned records stay in the postings until the
-                // next rebuild; skip them before any accounting so the
-                // funnel matches a live-only corpus. Postings past the
-                // probe's count-filter level are invisible the same
-                // way.
-                if !alive[p.record as usize] || (p.tier as usize) >= level {
-                    continue;
-                }
-                sink(Hit {
-                    y: p.record,
-                    i: i as u32,
-                    j: p.pos,
-                });
-            }
-        }
-    }
-}
-
-/// Phase 2 over one chunk of candidates: count filter and truncation
-/// drop (both silent — proven dead from index geometry, never surfaced
-/// as candidates), then positional filter, candidate-space filter,
-/// band-signature check, suffix filter, and resume-merge verification —
-/// all shared with the batch engine (the merged `(i, j)` is the pair's
-/// first shared prefix token, so overlap before it is exactly 0 and
-/// the merge resumes at `(i+1, j+1)` with overlap 1).
-#[allow(clippy::too_many_arguments)]
-fn verify_candidates<F: Fn(u32) -> bool>(
-    t: f64,
-    level: usize,
-    doc: &[u32],
-    sig_x: &BandSignature,
-    docs: &[Vec<u32>],
-    sigs: &[BandSignature],
-    best_i: &[u32],
-    best_j: &[u32],
-    cnt: &[u8],
-    cuts: &[u32],
-    cand: &[u32],
-    space_ok: &F,
-    found: &mut Vec<(u32, f64)>,
-    stats: &mut JoinStats,
-) {
-    let lx = doc.len();
-    for &y in cand {
-        // Count filter: a qualifying pair shares at least `level`
-        // tokens between the extended windows (the generalized prefix
-        // lemma), so fewer hits prove the pair dead.
-        if (cnt[y as usize] as usize) < level {
-            continue;
-        }
-        let ydoc = &docs[y as usize];
-        let ly = ydoc.len();
-        let (i, j) = (best_i[y as usize] as usize, best_j[y as usize] as usize);
-        // Last-token truncation at the merged first hit: the cutoff is
-        // exactly the largest ly the positional filter admits from
-        // position `i`, so over-cutoff candidates are the ones a
-        // level-1 scan never enumerates. (At level 1 this never fires —
-        // collection already clamped the length window per position.)
-        if ly > cuts[i] as usize {
-            continue;
-        }
-        stats.candidates += 1;
-        let alpha = min_overlap(lx, ly, t);
-        let upper = 1 + (lx - i - 1).min(ly - j - 1);
-        if upper < alpha {
-            stats.positional_pruned += 1;
-            continue;
-        }
-        if !space_ok(y) {
-            stats.space_pruned += 1;
-            continue;
-        }
-        // Band-signature reject: popcount(sig_x ^ sig_y) lower-bounds
-        // |x Δ y|, which a qualifying pair keeps ≤ lx + ly − 2α. The
-        // check self-gates to short records (bound < 256); `upper ≥ α`
-        // above guarantees `2α ≤ lx + ly`.
-        let sig_budget = lx + ly - 2 * alpha;
-        if sig_budget < 256 && sig_x.distance_lb(&sigs[y as usize]) > sig_budget {
-            stats.signature_rejected += 1;
-            continue;
-        }
-        let (xs, ys) = (&doc[i + 1..], &ydoc[j + 1..]);
-        if alpha > 1 {
-            let hmax = xs.len() + ys.len() - 2 * (alpha - 1);
-            if suffix_hamming_lb(xs, ys, hmax, SUFFIX_FILTER_DEPTH) > hmax {
-                stats.suffix_pruned += 1;
-                continue;
-            }
-        }
-        stats.verified += 1;
-        let Some(suffix_overlap) = overlap_reaching(xs, ys, alpha.saturating_sub(1)) else {
-            continue;
-        };
-        let o = 1 + suffix_overlap;
-        let sim = o as f64 / (lx + ly - o) as f64;
-        if sim >= t {
-            stats.results += 1;
-            found.push((y, sim));
-        }
+        self.table.clear();
+        self.index_all();
     }
 }
 
@@ -1090,14 +412,10 @@ mod tests {
     use crowder_text::tokenize;
     use crowder_types::{PairSpace, SourceId};
 
-    fn feed_layout(
-        names: &[&str],
-        threshold: f64,
-        layout: IndexLayout,
-    ) -> (Vec<ScoredPair>, JoinStats) {
+    fn feed(names: &[&str], threshold: f64) -> (Vec<ScoredPair>, JoinStats) {
         let mut dataset = Dataset::new("t", vec!["name".into()], PairSpace::SelfJoin);
         let mut dict = StreamingDict::new();
-        let mut index = DeltaIndex::with_layout(threshold, layout);
+        let mut index = DeltaIndex::new(threshold);
         let mut out = Vec::new();
         let mut stats = JoinStats::default();
         for name in names {
@@ -1110,10 +428,6 @@ mod tests {
             index.join_and_insert(&dataset, doc, &mut out, &mut stats);
         }
         (out, stats)
-    }
-
-    fn feed(names: &[&str], threshold: f64) -> (Vec<ScoredPair>, JoinStats) {
-        feed_layout(names, threshold, IndexLayout::default())
     }
 
     #[test]
@@ -1130,46 +444,6 @@ mod tests {
                 + stats.suffix_pruned
                 + stats.verified
         );
-    }
-
-    #[test]
-    fn shard_and_thread_layouts_are_invisible() {
-        // Same corpus, every layout: identical pairs *and* identical
-        // funnel stats — the sharded two-phase probe is bit-for-bit the
-        // serial probe.
-        let names = [
-            "a b c d",
-            "a b c d e",
-            "x y z",
-            "a b c e",
-            "x y",
-            "m n o p q",
-            "a b",
-            "m n o p",
-        ];
-        let (base_out, base_stats) = feed(&names, 0.4);
-        for layout in [
-            IndexLayout {
-                shards: 2,
-                probe_threads: 1,
-            },
-            IndexLayout {
-                shards: 7,
-                probe_threads: 2,
-            },
-            IndexLayout {
-                shards: 16,
-                probe_threads: 4,
-            },
-            IndexLayout {
-                shards: 0, // clamped to 1
-                probe_threads: 0,
-            },
-        ] {
-            let (out, stats) = feed_layout(&names, 0.4, layout);
-            assert_eq!(out, base_out, "{layout:?}");
-            assert_eq!(stats, base_stats, "{layout:?}");
-        }
     }
 
     #[test]
@@ -1215,17 +489,9 @@ mod tests {
 
     /// Feed helper returning the live state too.
     fn feed_state(names: &[&str], threshold: f64) -> (Dataset, StreamingDict, DeltaIndex) {
-        feed_state_layout(names, threshold, IndexLayout::default())
-    }
-
-    fn feed_state_layout(
-        names: &[&str],
-        threshold: f64,
-        layout: IndexLayout,
-    ) -> (Dataset, StreamingDict, DeltaIndex) {
         let mut dataset = Dataset::new("t", vec!["name".into()], PairSpace::SelfJoin);
         let mut dict = StreamingDict::new();
-        let mut index = DeltaIndex::with_layout(threshold, layout);
+        let mut index = DeltaIndex::new(threshold);
         let mut out = Vec::new();
         let mut stats = JoinStats::default();
         for name in names {
@@ -1249,44 +515,35 @@ mod tests {
 
     #[test]
     fn probe_query_matches_what_an_arrival_would_surface() {
-        for layout in [
-            IndexLayout::default(),
-            IndexLayout {
-                shards: 7,
-                probe_threads: 2,
-            },
-        ] {
-            let names = ["a b c d", "a b c e", "x y z", "a b"];
-            let (_dataset, dict, mut index) = feed_state_layout(&names, 0.5, layout);
-            // Query with record 0's exact content (as an outside query,
-            // not an arrival): must match what arrival 0's own doc
-            // matches, over the *current* corpus.
-            let qdoc = dict.encode_query(&tokenize("a b c d"));
-            let (mut matches, mut stats) = (Vec::new(), JoinStats::default());
-            index.probe_query(&qdoc, |_| true, &mut matches, &mut stats);
-            assert_eq!(
-                matches,
-                vec![
-                    (RecordId(0), 1.0), // identical
-                    (RecordId(1), 0.6), // 3 shared / 5 union
-                    (RecordId(3), 0.5), // 2 shared / 4 union
-                ],
-                "{layout:?}"
-            );
-            // Unknown query tokens lengthen the query exactly like an
-            // arrival's fresh tokens would.
-            let diluted = dict.encode_query(&tokenize("a b c d zz1 zz2 zz3 zz4 zz5"));
-            let (mut none, mut stats) = (Vec::new(), JoinStats::default());
-            index.probe_query(&diluted, |_| true, &mut none, &mut stats);
-            assert!(
-                none.is_empty(),
-                "diluted to 4/9 < t against every record: {none:?}"
-            );
-            // The index is untouched: same query, same answer.
-            let (mut again, mut stats) = (Vec::new(), JoinStats::default());
-            index.probe_query(&qdoc, |_| true, &mut again, &mut stats);
-            assert_eq!(again, matches);
-        }
+        let names = ["a b c d", "a b c e", "x y z", "a b"];
+        let (_dataset, dict, mut index) = feed_state(&names, 0.5);
+        // Query with record 0's exact content (as an outside query, not
+        // an arrival): must match what arrival 0's own doc matches, over
+        // the *current* corpus.
+        let qdoc = dict.encode_query(&tokenize("a b c d"));
+        let (mut matches, mut stats) = (Vec::new(), JoinStats::default());
+        index.probe_query(&qdoc, |_| true, &mut matches, &mut stats);
+        assert_eq!(
+            matches,
+            vec![
+                (RecordId(0), 1.0), // identical
+                (RecordId(1), 0.6), // 3 shared / 5 union
+                (RecordId(3), 0.5), // 2 shared / 4 union
+            ]
+        );
+        // Unknown query tokens lengthen the query exactly like an
+        // arrival's fresh tokens would.
+        let diluted = dict.encode_query(&tokenize("a b c d zz1 zz2 zz3 zz4 zz5"));
+        let (mut none, mut stats) = (Vec::new(), JoinStats::default());
+        index.probe_query(&diluted, |_| true, &mut none, &mut stats);
+        assert!(
+            none.is_empty(),
+            "diluted to 4/9 < t against every record: {none:?}"
+        );
+        // The index is untouched: same query, same answer.
+        let (mut again, mut stats) = (Vec::new(), JoinStats::default());
+        index.probe_query(&qdoc, |_| true, &mut again, &mut stats);
+        assert_eq!(again, matches);
     }
 
     #[test]
@@ -1357,8 +614,8 @@ mod tests {
         let names = ["a b c d", "a b c e", "x y z", "a b c d e"];
         let (mut dataset, mut dict, mut index) = feed_state(&names, 0.4);
         index.remove(RecordId(2));
-        // Export docs (dead ones empty) and rebuild — under a different
-        // shard layout, which must not change a thing.
+        // Export docs (dead ones empty) and rebuild: the import must not
+        // change a thing.
         let docs: Vec<Vec<u32>> = (0..index.len())
             .map(|r| {
                 if index.is_alive(RecordId(r as u32)) {
@@ -1371,11 +628,7 @@ mod tests {
         let alive: Vec<bool> = (0..index.len())
             .map(|r| index.is_alive(RecordId(r as u32)))
             .collect();
-        let layout = IndexLayout {
-            shards: 3,
-            probe_threads: 1,
-        };
-        let mut imported = DeltaIndex::from_docs(0.4, layout, docs, alive).unwrap();
+        let mut imported = DeltaIndex::from_docs(0.4, docs, alive).unwrap();
         assert_eq!(imported.live(), index.live());
         // Identical probes on both sides: bit-identical output.
         dataset
@@ -1389,13 +642,7 @@ mod tests {
         assert_eq!(out_a, out_b);
         assert_eq!(stats_a, stats_b);
         // Mismatched import lengths are rejected.
-        assert!(DeltaIndex::from_docs(
-            0.4,
-            IndexLayout::default(),
-            vec![vec![1]],
-            vec![true, false]
-        )
-        .is_err());
+        assert!(DeltaIndex::from_docs(0.4, vec![vec![1]], vec![true, false]).is_err());
     }
 
     #[test]

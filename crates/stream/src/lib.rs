@@ -24,16 +24,15 @@
 //! * [`DeltaIndex`] — the machine pass (§2.1.1's likelihood = Jaccard,
 //!   §2.2's footnote on indexed joins) as an insert-capable PPJoin+
 //!   probe: symmetric prefix filter, positional filter, suffix filter,
-//!   and resume-merge verification, shared with the batch engine via
-//!   `crowder_simjoin::filters`. Posting lists are **sharded by rank
-//!   band** ([`IndexLayout`]) so one probe can fan out across shards via
-//!   scoped threads, and **bucketed by record length** (O(1) append per
-//!   arrival) so the length filter is a binary-searched window over
-//!   bucket headers, not a per-candidate check; the two-phase probe
-//!   (hit collection → minimal-position merge → filter/verify) makes
-//!   results *and* funnel counters bit-for-bit invariant under the
-//!   shard and thread counts — see the [`delta`] module docs. Deletion is a **tombstone**: the dead
-//!   slot is skipped by every probe immediately (O(1) to delete) and its
+//!   and resume-merge verification. The posting table and the probe
+//!   are the batch engine's own (`crowder_simjoin::probe`): one kernel,
+//!   driven here with the symmetric probe prefix and no length order
+//!   between probe and indexed record. Posting lists are kept in
+//!   `(length, record)` order, so the length filter is one binary
+//!   search and results *and* funnel counters are a pure function of
+//!   the live corpus — see the [`delta`] module docs. Deletion is a
+//!   **tombstone**: the dead slot is skipped by every probe immediately
+//!   (deleting costs one live-count update per indexed token) and its
 //!   postings are swept out at the next epoch rebuild, so churn never
 //!   degrades the index permanently. Read-only **query probes**
 //!   ([`IncrementalResolver::query`] over
@@ -46,7 +45,7 @@
 //!   decommits when contradicting answers pull it back; a machine edge
 //!   is **vetoed** when net weight falls past the veto margin. Vote
 //!   weights are Youden's J over Dawid–Skene worker-quality estimates
-//!   ([`vote_weight`](evidence::vote_weight)), so spammers weigh ~0 and
+//!   ([`vote_weight`]), so spammers weigh ~0 and
 //!   estimated liars are silenced.
 //! * [`IncrementalResolver`] — the mutable core. Clustering lives in a
 //!   [`DynamicConnectivity`](crowder_graph::DynamicConnectivity) graph
@@ -88,7 +87,7 @@ pub mod live;
 pub mod resolver;
 pub mod state;
 
-pub use delta::{DeltaIndex, IndexLayout, RANK_BAND_WIDTH};
+pub use delta::{DeltaIndex, IndexLayout};
 pub use dict::StreamingDict;
 pub use evidence::{vote_weight, EvidenceConfig, EvidenceLedger, EvidenceShift, Tally};
 pub use live::{HitId, LiveHits};

@@ -67,9 +67,9 @@ pub struct StreamConfig {
     pub rebuild_min_interval: usize,
     /// Commit/veto thresholds of the signed evidence ledger.
     pub evidence: EvidenceConfig,
-    /// Shard/thread layout of the delta index (see [`IndexLayout`]).
-    /// Probe results are bit-for-bit invariant under it; it tunes only
-    /// where the probe work happens.
+    /// Layout of the delta index. [`IndexLayout`] has a single value;
+    /// the field remains so configurations that forward it keep
+    /// compiling.
     pub layout: IndexLayout,
 }
 
@@ -82,7 +82,7 @@ impl Default for StreamConfig {
             two_tiered: TwoTieredConfig::default(),
             rebuild_min_interval: 256,
             evidence: EvidenceConfig::default(),
-            layout: IndexLayout::default(),
+            layout: IndexLayout,
         }
     }
 }
@@ -226,7 +226,7 @@ impl IncrementalResolver {
     ) -> Self {
         let generator = TwoTieredGenerator::with_config(config.two_tiered.clone());
         IncrementalResolver {
-            index: DeltaIndex::with_layout(config.threshold, config.layout),
+            index: DeltaIndex::new(config.threshold),
             ledger: EvidenceLedger::new(config.evidence),
             config,
             dataset: Dataset::new(name, schema, pair_space),
@@ -922,7 +922,7 @@ impl IncrementalResolver {
                 }
             })
             .collect();
-        let index = DeltaIndex::from_docs(config.threshold, config.layout, docs, alive)?;
+        let index = DeltaIndex::from_docs(config.threshold, docs, alive)?;
         for (pair, _, _, _) in &tallies {
             if pair.hi().index() >= dataset.len() {
                 return Err(Error::UnknownRecord(pair.hi().0));

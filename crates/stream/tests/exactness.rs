@@ -8,7 +8,7 @@
 
 use crowder_datagen::{restaurant, RestaurantConfig};
 use crowder_simjoin::{prefix_join, TokenTable};
-use crowder_stream::{IncrementalResolver, IndexLayout, StreamConfig};
+use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{Dataset, Pair, PairSpace, RecordId, ScoredPair, SourceId};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -55,51 +55,13 @@ fn stream_and_batch(
     (resolver, dataset)
 }
 
-/// Stream `names` through a resolver whose `DeltaIndex` uses the given
-/// shard/thread layout.
-fn stream_with_layout(
-    names: &[String],
-    cross: bool,
-    threshold: f64,
-    rebuild_interval: usize,
-    layout: IndexLayout,
-) -> IncrementalResolver {
-    let space = if cross {
-        PairSpace::CrossSource(SourceId(0), SourceId(1))
-    } else {
-        PairSpace::SelfJoin
-    };
-    let mut resolver = IncrementalResolver::new(
-        "t",
-        vec!["name".into()],
-        space,
-        StreamConfig {
-            threshold,
-            rebuild_min_interval: rebuild_interval,
-            layout,
-            ..StreamConfig::default()
-        },
-    );
-    for (i, name) in names.iter().enumerate() {
-        let src = if cross {
-            SourceId((i % 2) as u8)
-        } else {
-            SourceId(0)
-        };
-        resolver.insert(src, vec![name.clone()]).unwrap();
-    }
-    resolver
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Shard-count invariance: the `DeltaIndex` shard/thread layout is a
-    /// physical detail — for random corpora, thresholds, and pair
-    /// spaces, every layout (1, 2, 7, and 16 shards, serial and
-    /// parallel probes) produces the *same bytes*: identical ranked
-    /// pairs, identical to the unsharded index, identical to the batch
-    /// `prefix_join`.
+    /// The index has a single layout, so no shard count can change the
+    /// result; what this test keeps pinning is that single index to the
+    /// batch `prefix_join` at the available parallelism, for random
+    /// corpora, thresholds, pair spaces and epoch cadences.
     #[test]
     fn shard_count_never_changes_the_result(
         names in proptest::collection::vec("[a-e]{1,3}( [a-e]{1,3}){0,4}", 2..24),
@@ -107,86 +69,8 @@ proptest! {
         cross in proptest::bool::ANY,
         rebuild in 2usize..=32,
     ) {
-        // The unsharded baseline IS the batch join (the pre-existing
-        // contract), so transitively every layout is batch-exact.
         let (base, dataset) = stream_and_batch(&names, cross, thr, rebuild);
-        let reference = base.ranked_pairs();
-        prop_assert_eq!(&reference, &batch_pairs(&dataset, thr, 0));
-        for (shards, probe_threads) in [(1, 2), (2, 1), (7, 2), (16, 4)] {
-            let layout = IndexLayout { shards, probe_threads };
-            let sharded = stream_with_layout(&names, cross, thr, rebuild, layout);
-            prop_assert_eq!(
-                &sharded.ranked_pairs(),
-                &reference,
-                "layout {}x{} diverged",
-                shards,
-                probe_threads
-            );
-        }
-    }
-
-    /// Layout invariance holds under mutation too: deletions and
-    /// re-inserts interleaved with arrivals leave every sharded layout
-    /// bit-identical to the unsharded resolver fed the same op stream.
-    #[test]
-    fn shard_layouts_agree_under_mutation(
-        names in proptest::collection::vec("[a-d]{1,2}( [a-d]{1,2}){0,4}", 3..16),
-        seed in 0u64..=1_000_000,
-        thr in 0.05f64..=1.0,
-    ) {
-        let layouts = [
-            IndexLayout { shards: 1, probe_threads: 1 },
-            IndexLayout { shards: 2, probe_threads: 1 },
-            IndexLayout { shards: 7, probe_threads: 2 },
-            IndexLayout { shards: 16, probe_threads: 4 },
-        ];
-        let mut resolvers: Vec<IncrementalResolver> = layouts
-            .iter()
-            .map(|&layout| {
-                IncrementalResolver::new(
-                    "t",
-                    vec!["name".into()],
-                    PairSpace::SelfJoin,
-                    StreamConfig { threshold: thr, layout, ..StreamConfig::default() },
-                )
-            })
-            .collect();
-        let mut state = seed | 1;
-        let mut roll = |m: usize| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as usize % m
-        };
-        let mut alive: Vec<RecordId> = Vec::new();
-        let mut pending: Vec<&String> = names.iter().rev().collect();
-        for _ in 0..names.len() * 2 {
-            match roll(3) {
-                0 if !alive.is_empty() => {
-                    let victim = alive.swap_remove(roll(alive.len()));
-                    for r in resolvers.iter_mut() {
-                        r.remove(victim).unwrap();
-                    }
-                }
-                _ => {
-                    if let Some(name) = pending.pop() {
-                        let mut id = None;
-                        for r in resolvers.iter_mut() {
-                            id = Some(r.insert(SourceId(0), vec![name.clone()]).unwrap().record);
-                        }
-                        alive.push(id.unwrap());
-                    }
-                }
-            }
-        }
-        let reference = resolvers[0].ranked_pairs();
-        for (r, layout) in resolvers.iter().zip(layouts).skip(1) {
-            prop_assert_eq!(
-                &r.ranked_pairs(),
-                &reference,
-                "layout {}x{} diverged under mutation",
-                layout.shards,
-                layout.probe_threads
-            );
-        }
+        prop_assert_eq!(base.ranked_pairs(), batch_pairs(&dataset, thr, 0));
     }
 
     /// One-at-a-time insertion, across thresholds, pair spaces, epoch
@@ -229,7 +113,7 @@ proptest! {
     /// Degenerate thresholds degrade exactly like the batch engine —
     /// including t = 1.0, where every prefix saturates (the adaptive
     /// window cap ⌈t·lx⌉ and the truncation cutoffs sit exactly on
-    /// their boundaries) — and they do so under every shard layout.
+    /// their boundaries).
     #[test]
     fn degenerate_thresholds_match_batch(
         names in proptest::collection::vec("[a-c]{1,2}( [a-c]{1,2}){0,3}", 2..12),
@@ -237,45 +121,29 @@ proptest! {
     ) {
         let thr = [0.0, -0.5, 1.5, 1.0][which];
         let (resolver, dataset) = stream_and_batch(&names, false, thr, 16);
-        let reference = resolver.ranked_pairs();
-        prop_assert_eq!(&reference, &batch_pairs(&dataset, thr, 1));
-        for (shards, probe_threads) in [(2, 1), (7, 2), (16, 4)] {
-            let layout = IndexLayout { shards, probe_threads };
-            let sharded = stream_with_layout(&names, false, thr, 16, layout);
-            prop_assert_eq!(
-                &sharded.ranked_pairs(),
-                &reference,
-                "layout {}x{} diverged at t = {}",
-                shards,
-                probe_threads,
-                thr
-            );
-        }
+        prop_assert_eq!(resolver.ranked_pairs(), batch_pairs(&dataset, thr, 1));
     }
 
     /// Empty and one-token records through the adaptive-prefix and
-    /// bitset-verify paths, under every shard layout: a 1-token record
-    /// clamps its extended window to the record length and its
-    /// count-filter cap to level 1, and an empty record must be inert
-    /// at every positive threshold — all bit-identical to batch.
+    /// bitset-verify paths, under every posting layout the epoch
+    /// cadence produces (re-ranking at different points re-keys the
+    /// posting table differently): a 1-token record clamps its extended
+    /// window to the record length and its count-filter cap to level 1,
+    /// and an empty record must be inert at every positive threshold —
+    /// all bit-identical to batch.
     #[test]
     fn tiny_records_match_batch_under_every_layout(
         names in proptest::collection::vec("( ?[a-c]{1,2}){0,3}", 2..14),
         thr in 0.05f64..=1.0,
         cross in proptest::bool::ANY,
     ) {
-        let (resolver, dataset) = stream_and_batch(&names, cross, thr, 8);
-        let reference = resolver.ranked_pairs();
-        prop_assert_eq!(&reference, &batch_pairs(&dataset, thr, 0));
-        for (shards, probe_threads) in [(2, 1), (7, 2), (16, 4)] {
-            let layout = IndexLayout { shards, probe_threads };
-            let sharded = stream_with_layout(&names, cross, thr, 8, layout);
+        for rebuild in [2, 8, 64] {
+            let (resolver, dataset) = stream_and_batch(&names, cross, thr, rebuild);
             prop_assert_eq!(
-                &sharded.ranked_pairs(),
-                &reference,
-                "layout {}x{} diverged",
-                shards,
-                probe_threads
+                resolver.ranked_pairs(),
+                batch_pairs(&dataset, thr, 0),
+                "epoch cadence {}",
+                rebuild
             );
         }
     }

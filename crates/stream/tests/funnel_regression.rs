@@ -21,18 +21,17 @@
 
 use crowder_datagen::{product, ProductConfig};
 use crowder_simjoin::JoinStats;
-use crowder_stream::{IncrementalResolver, IndexLayout, StreamConfig};
+use crowder_stream::{IncrementalResolver, StreamConfig};
 use crowder_types::{PairSpace, SourceId};
 
 /// Stream the full Product corpus at `threshold`, returning the
 /// cumulative probe funnel and the final pair count.
-fn stream_product_layout(threshold: f64, layout: IndexLayout) -> (JoinStats, usize) {
+fn stream_product(threshold: f64) -> (JoinStats, usize) {
     let dataset = product(&ProductConfig::default());
     let mut resolver = IncrementalResolver::like(
         &dataset,
         StreamConfig {
             threshold,
-            layout,
             ..StreamConfig::default()
         },
     );
@@ -45,10 +44,6 @@ fn stream_product_layout(threshold: f64, layout: IndexLayout) -> (JoinStats, usi
     }
     let pairs = resolver.ranked_pairs().len();
     (stats, pairs)
-}
-
-fn stream_product(threshold: f64) -> (JoinStats, usize) {
-    stream_product_layout(threshold, IndexLayout::default())
 }
 
 /// t = 0.3 — the `BENCH_stream.json` configuration, pinned exactly:
@@ -104,39 +99,18 @@ fn tight_threshold_funnel_is_pinned() {
     assert_eq!(pairs, 88, "result set diverged");
 }
 
-/// The pinned funnel is a pure function of the corpus: shard and
-/// probe-thread layouts must reproduce every bucket bit-for-bit — the
-/// adaptive level estimator reads live posting counters (not physical
-/// layout), truncation drops are decided from the merged minimum, and
-/// hit counts are order-insensitive sums.
-#[test]
-fn pinned_funnel_is_layout_invariant() {
-    let (base_stats, base_pairs) = stream_product(0.3);
-    for (shards, probe_threads) in [(2, 1), (7, 2), (16, 4)] {
-        let layout = IndexLayout {
-            shards,
-            probe_threads,
-        };
-        let (stats, pairs) = stream_product_layout(0.3, layout);
-        assert_eq!(stats, base_stats, "funnel diverged under {layout:?}");
-        assert_eq!(pairs, base_pairs, "results diverged under {layout:?}");
-    }
-}
-
-/// Degenerate thresholds through the adaptive paths, under every shard
-/// layout: t > 1 joins nothing and counts nothing; t ≤ 0 degrades to
-/// the exhaustive scorer (every live pair verified, no filter buckets);
-/// t = 1.0 keeps only exact-duplicate token sets. One-token and empty
-/// records ride along — their extended windows clamp to the record
-/// length, and the count-filter cap ⌈t·lx⌉ pins them to level 1.
+/// Degenerate thresholds through the adaptive paths, under every
+/// posting layout the epoch cadence produces (re-ranking every few
+/// arrivals, or never): t > 1 joins nothing and counts nothing; t ≤ 0
+/// degrades to the exhaustive scorer (every live pair verified, no
+/// filter buckets); t = 1.0 keeps only exact-duplicate token sets.
+/// One-token and empty records ride along — their extended windows
+/// clamp to the record length, and the count-filter cap ⌈t·lx⌉ pins
+/// them to level 1.
 #[test]
 fn degenerate_thresholds_and_tiny_records_survive_every_layout() {
     let names = ["a", "", "a", "a b c d", "a b c d", "b", "---", "a b c e"];
-    for (shards, probe_threads) in [(1, 1), (2, 1), (7, 2), (16, 4)] {
-        let layout = IndexLayout {
-            shards,
-            probe_threads,
-        };
+    for rebuild in [1, 256] {
         let run = |threshold: f64| -> (JoinStats, usize) {
             let mut resolver = IncrementalResolver::new(
                 "t",
@@ -144,7 +118,7 @@ fn degenerate_thresholds_and_tiny_records_survive_every_layout() {
                 PairSpace::SelfJoin,
                 StreamConfig {
                     threshold,
-                    layout,
+                    rebuild_min_interval: rebuild,
                     ..StreamConfig::default()
                 },
             );
@@ -158,24 +132,27 @@ fn degenerate_thresholds_and_tiny_records_survive_every_layout() {
             (stats, resolver.ranked_pairs().len())
         };
         let (stats, pairs) = run(1.5);
-        assert_eq!(pairs, 0, "{layout:?}: t > 1 must join nothing");
-        assert_eq!(stats, JoinStats::default(), "{layout:?}");
+        assert_eq!(pairs, 0, "cadence {rebuild}: t > 1 must join nothing");
+        assert_eq!(stats, JoinStats::default(), "cadence {rebuild}");
         let (stats, pairs) = run(1.0);
         // Exactly the duplicate pairs: (0,2) "a" and (3,4) "a b c d".
-        assert_eq!(pairs, 2, "{layout:?}: t = 1.0 keeps exact duplicates");
-        assert_eq!(stats.results, 2, "{layout:?}");
+        assert_eq!(
+            pairs, 2,
+            "cadence {rebuild}: t = 1.0 keeps exact duplicates"
+        );
+        assert_eq!(stats.results, 2, "cadence {rebuild}");
         let (stats, pairs) = run(0.0);
         // Exhaustive: every unordered live pair scored and verified.
         let n = names.len() as u64;
-        assert_eq!(stats.verified, n * (n - 1) / 2, "{layout:?}");
-        assert_eq!(pairs as u64, n * (n - 1) / 2, "{layout:?}");
+        assert_eq!(stats.verified, n * (n - 1) / 2, "cadence {rebuild}");
+        assert_eq!(pairs as u64, n * (n - 1) / 2, "cadence {rebuild}");
         let (stats, pairs) = run(-0.5);
-        assert_eq!(stats.verified, n * (n - 1) / 2, "{layout:?}");
-        assert_eq!(pairs as u64, n * (n - 1) / 2, "{layout:?}");
+        assert_eq!(stats.verified, n * (n - 1) / 2, "cadence {rebuild}");
+        assert_eq!(pairs as u64, n * (n - 1) / 2, "cadence {rebuild}");
         let (stats, pairs) = run(0.5);
         // The filtered path with 1-token and empty records in the mix:
         // "a"≡"a", "a b c d"≡"a b c d", "a b c d"~"a b c e" (x2).
-        assert_eq!(pairs, 4, "{layout:?}: filtered path");
+        assert_eq!(pairs, 4, "cadence {rebuild}: filtered path");
         assert_eq!(
             stats.candidates,
             stats.positional_pruned
@@ -183,7 +160,7 @@ fn degenerate_thresholds_and_tiny_records_survive_every_layout() {
                 + stats.signature_rejected
                 + stats.suffix_pruned
                 + stats.verified,
-            "{layout:?}: funnel leaks"
+            "cadence {rebuild}: funnel leaks"
         );
     }
 }

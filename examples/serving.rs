@@ -19,16 +19,12 @@ const BATCH: usize = 8;
 
 fn main() {
     // A Restaurant-style corpus, served instead of streamed: the
-    // resolver shards its index 4 ways and sits behind a bounded queue.
+    // resolver sits behind a bounded queue.
     let dataset = restaurant(&RestaurantConfig::default());
     let resolver = IncrementalResolver::like(
         &dataset,
         StreamConfig {
             threshold: 0.5,
-            layout: IndexLayout {
-                shards: 4,
-                probe_threads: 1,
-            },
             ..StreamConfig::default()
         },
     );
